@@ -1,6 +1,6 @@
-"""Build a DeepMapping structure for one workload through the Spark path
-(dictionaries via Catalyst DISTINCT, misclassification sweep via
-mapInPandas), optionally running MHAS first, and print the storage
+"""Build a DeepMapping structure for one workload: generate the relation
+with Spark, collect it to the driver and build there with
+``DeepMapping.build``, optionally running MHAS first, and print the storage
 breakdown (the data behind paper Fig. 6).
 
 spark-submit jobs/build_deepmapping.py --workload tpch_orders --sf 0.05 --mhas
@@ -8,8 +8,7 @@ spark-submit jobs/build_deepmapping.py --workload tpch_orders --sf 0.05 --mhas
 from _common import get_spark, make_parser, workdir_of
 
 
-from repro.core.deepmapping import DeepMappingConfig
-from repro.core.lookup_spark import build_distributed
+from repro.core.deepmapping import DeepMapping, DeepMappingConfig
 from repro.core.mhas import MHASConfig, mhas_search
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
@@ -25,8 +24,7 @@ def main() -> None:
     args = p.parse_args()
     spark = get_spark("repro-build-dm")
     wl = get_workload(args.workload)
-    sdf = wl.dataframe(spark, args.sf)
-    pdf = sdf.toPandas()
+    pdf = wl.pandas(spark, args.sf)
     ks = wl.key_space(pdf)
 
     arch = ArchSpec((128,), {})
@@ -43,8 +41,8 @@ def main() -> None:
         print(f"MHAS best arch: {arch} (estimated ratio {res.best_ratio:.4f})")
 
     cfg = DeepMappingConfig(arch=arch, train=TrainConfig(), codec=args.codec)
-    dm = build_distributed(
-        spark, sdf, list(wl.key_cols), list(wl.value_cols), cfg,
+    dm = DeepMapping.build(
+        pdf, list(wl.key_cols), list(wl.value_cols), cfg,
         workdir=workdir_of(args), key_space=ks,
     )
     bd = dm.storage_breakdown()

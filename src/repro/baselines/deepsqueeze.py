@@ -147,7 +147,8 @@ class DeepSqueezeStore:
 
     # ------------------------------------------------------------------ lookup
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Reconstruct the table through the decoder, then answer keys.
+        """Reconstruct the table through the decoder, then answer keys:
+        ``(found_mask, {col: values of the found keys, in query order})``.
 
         Reconstruction happens per batch — DS has no partition/index
         structure to load selectively, which is what makes it slow."""
@@ -164,10 +165,6 @@ class DeepSqueezeStore:
         pos = np.searchsorted(self._keys, keys)
         pos_c = np.clip(pos, 0, len(self._keys) - 1)
         mask = self._keys[pos_c] == keys
-        out = {}
-        n = len(keys)
-        for j, c in enumerate(self.columns):
-            vals = np.full(n, None, dtype=object)
-            vals[mask] = self._codecs[c].decode(recon[pos_c[mask], j])
-            out[c] = vals
-        return mask, out
+        return mask, {
+            c: self._codecs[c].decode(recon[pos_c[mask], j]) for j, c in enumerate(self.columns)
+        }

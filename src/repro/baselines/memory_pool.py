@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = ["MemoryPool", "PoolStats"]
@@ -30,7 +30,6 @@ class PoolStats:
     io_time: float = 0.0
     decompress_time: float = 0.0
     deserialize_time: float = 0.0
-    _extra: dict = field(default_factory=dict)
 
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = self.bytes_read = 0

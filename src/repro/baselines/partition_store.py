@@ -46,7 +46,7 @@ class PartitionedStore:
         self.name = name or f"{type(self).__name__}-{uuid.uuid4().hex[:8]}"
         self.dir = os.path.join(workdir, self.name)
         os.makedirs(self.dir, exist_ok=True)
-        self.columns: list[str] = []
+        self.dtypes: dict[str, np.dtype] = {}  # value column → build dtype
         # partition i covers dense keys in [self._lo[i], self._hi[i]]
         self._lo = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
@@ -81,7 +81,7 @@ class PartitionedStore:
         if len(keys) > 1 and (np.diff(keys) == 0).any():
             raise ValueError("duplicate dense keys in store build")
         values = {c: np.asarray(v)[order] for c, v in values.items()}
-        self.columns = list(values)
+        self.dtypes = {c: v.dtype for c, v in values.items()}
 
         row_bytes = 8 + sum(
             v.dtype.itemsize if v.dtype != object else 24 for v in values.values()
@@ -145,35 +145,30 @@ class PartitionedStore:
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Batch point lookup by dense key.
 
-        Returns ``(found_mask, values)`` where each ``values[col]`` is an
-        object array aligned with ``keys`` (None where not found). Query
-        keys are processed in sorted order, grouped by partition.
+        Returns ``(found_mask, values)`` where each ``values[col]`` holds
+        the values of the found keys, in query order, in the column's
+        build dtype. Query keys are processed in sorted order, grouped by
+        partition.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        n = len(keys)
-        found = np.zeros(n, dtype=bool)
-        out = {c: np.full(n, None, dtype=object) for c in self.columns}
-        if n == 0 or self.n_partitions == 0:
-            return found, out
+        found = np.zeros(len(keys), dtype=bool)
         order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        pids = self.route(skeys)
-        valid = pids >= 0
-        # contiguous runs of equal partition id over the sorted keys
-        for pi in np.unique(pids[valid]):
-            sel = np.flatnonzero(pids == pi)
-            payload = self._load_partition(int(pi))
-            mask, vals = self._lookup_in_payload(payload, skeys[sel])
-            idx = order[sel[mask]]
-            found[idx] = True
-            for c in self.columns:
-                out[c][idx] = vals[c]
+        pids = self.route(keys[order])
+        # runs of equal partition id over the sorted keys
+        valid = np.flatnonzero(pids >= 0)
+        runs = np.split(valid, np.flatnonzero(np.diff(pids[valid])) + 1) if len(valid) else []
+        hits, parts = [], {c: [] for c in self.dtypes}
+        for sel in runs:
+            payload = self._load_partition(int(pids[sel[0]]))
+            mask, vals = self._lookup_in_payload(payload, keys[order[sel]])
+            hits.append(order[sel[mask]])
+            for c in self.dtypes:
+                parts[c].append(vals[c])
+        hit = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+        found[hit] = True
+        rank = np.argsort(hit, kind="stable")  # sorted-key order → query order
+        out = {}
+        for c, dt in self.dtypes.items():
+            vals = np.concatenate(parts[c]) if hits else np.empty(0, dt)
+            out[c] = vals.astype(dt, copy=False)[rank]
         return found, out
-
-    # -- pickling (for Spark broadcast): drop the pool's runtime cache ------
-    def __getstate__(self):
-        d = self.__dict__.copy()
-        return d
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)

@@ -10,12 +10,14 @@ and binary-searches the key array — Algorithm 1's validation step.
 
 Modifications (Algorithms 3–5) *materialize into this structure*: the
 master arrays are merged with the delta and the on-disk partitions
-rebuilt, keeping keys sorted. The master copy lives only on the
-build/driver side; the query path touches disk + pool only.
+rewritten as a new generation directory, keeping keys sorted; the
+previous generation is deleted once the new one is on disk. The master
+copy lives only on the build/driver side; the query path touches disk +
+pool only.
 """
 from __future__ import annotations
 
-import os
+import shutil
 
 import numpy as np
 
@@ -52,50 +54,40 @@ class AuxTable:
         holds the correct int32 code of *every* value column, aligned."""
         keys = np.asarray(keys, dtype=np.int64)
         order = np.argsort(keys, kind="stable")
-        self.columns = list(codes)
-        self._keys = keys[order]
-        self._codes = {
-            c: np.asarray(v, dtype=np.int32)[order] for c, v in codes.items()
-        }
-        self._rebuild()
+        self._write(keys[order], {c: np.asarray(v, dtype=np.int32)[order] for c, v in codes.items()})
 
-    def _rebuild(self) -> None:
-        self._gen += 1
-        old = self._store
+    def _write(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
+        """Write sorted rows as the next on-disk generation, then make them
+        current. The master arrays change only once the write succeeded; the
+        superseded generation's cached partitions and files are dropped."""
         st = ArrayStore(
             self.workdir,
             codec=self.codec_name,
             partition_bytes=self.partition_bytes,
             pool=self.pool,
-            name=f"aux-g{self._gen}",
+            name=f"aux-g{self._gen + 1}",
         )
-        st.build(self._keys, dict(self._codes))
-        if old is not None:  # invalidate cached partitions of the old store
+        try:
+            st.build(keys, dict(codes))
+        except BaseException:
+            shutil.rmtree(st.dir, ignore_errors=True)
+            raise
+        old = self._store
+        self._gen += 1
+        self.columns = list(codes)
+        self._keys, self._codes, self._store = keys, codes, st
+        if old is not None:
             for pi in range(old.n_partitions):
                 self.pool.invalidate((old.name, pi))
-        self._store = st
+            shutil.rmtree(old.dir, ignore_errors=True)
 
     # -- query path ------------------------------------------------------------
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """(found_mask, {col: int32 codes for found keys, in query order})."""
         keys = np.asarray(keys, dtype=np.int64)
-        if self._store is None or self._store.n_partitions == 0:
-            return (
-                np.zeros(len(keys), dtype=bool),
-                {c: np.empty(0, dtype=np.int32) for c in self.columns},
-            )
-        mask, vals = self._store.lookup_batch(keys)
-        out = {}
-        for c in self.columns:
-            out[c] = (
-                vals[c][mask].astype(np.int32)
-                if mask.any()
-                else np.empty(0, dtype=np.int32)
-            )
-        return mask, out
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        return self.lookup(keys)[0]
+        if self._store is None:
+            return np.zeros(len(keys), dtype=bool), {}
+        return self._store.lookup_batch(keys)
 
     # -- modifications (driver side; Algorithms 3–5 materialize here) ---------
     def apply(
@@ -104,9 +96,9 @@ class AuxTable:
         upsert_keys: np.ndarray | None = None,
         upsert_codes: dict[str, np.ndarray] | None = None,
         remove_keys: np.ndarray | None = None,
-        rebuild: bool = True,
     ) -> None:
-        """Merge row upserts and removals into the master arrays."""
+        """Merge row upserts and removals into the master arrays and write
+        them as a new generation."""
         keys, codes = self._keys, self._codes
         if remove_keys is not None and len(remove_keys):
             keep = ~np.isin(keys, np.asarray(remove_keys, dtype=np.int64))
@@ -125,12 +117,7 @@ class AuxTable:
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             codes = {c: v[order] for c, v in codes.items()}
-        self._keys, self._codes = keys, codes
-        if rebuild:
-            self._rebuild()
-
-    def remove_keys(self, keys: np.ndarray, rebuild: bool = True) -> None:
-        self.apply(remove_keys=keys, rebuild=rebuild)
+        self._write(keys, codes)
 
     # -- size -----------------------------------------------------------------
     @property
@@ -144,12 +131,3 @@ class AuxTable:
 
     def master(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         return self._keys, dict(self._codes)
-
-    def drop_files(self) -> None:
-        """Delete this table's on-disk partitions (cleanup helper)."""
-        if self._store is not None:
-            for f in self._store._files:
-                try:
-                    os.remove(f)
-                except OSError:
-                    pass

@@ -9,16 +9,20 @@
 
 Implements:
 * :meth:`DeepMapping.build` — trains (or accepts) the model, runs every
-  key through it, stores the misclassified mappings in ``T_aux``
-  (misclassification detection can run distributed via Spark
-  ``mapInPandas``, see ``lookup_spark.py``),
+  key through it, stores the misclassified mappings in ``T_aux``,
 * :meth:`lookup` — Algorithm 1 (batch inference → existence check →
-  auxiliary validation → decode),
+  auxiliary validation → decode); :meth:`lookup_arrays` is the same
+  without the NULL-filled DataFrame edge,
 * :meth:`insert` / :meth:`delete` / :meth:`update` — Algorithms 3/4/5,
   piggy-backing on ``T_aux`` with a size-threshold retrain trigger,
 * :meth:`lookup_range` — Sec. IV-E batch-inference range extension,
 * :meth:`storage_breakdown` — the per-component sizes behind Fig. 6 and
   the Eq. 1 objective.
+
+Lossless lookup rests on one invariant: ``T_aux`` holds exactly the tuples
+the build-time sweep saw the model get wrong. Every model run therefore
+goes through :func:`predict_codes`, and :func:`misclassified` is the only
+place predictions are compared with true codes.
 """
 from __future__ import annotations
 
@@ -32,10 +36,14 @@ from ..baselines.memory_pool import MemoryPool
 from .aux_table import AuxTable
 from .bitvector import BitVector
 from .encoding import KeySpace, LabelCodec, decode_map_bytes
-from .model import MappingModel, TrainConfig, evaluate_accuracy, train_model
+from .model import MappingModel, TrainConfig, train_model
 from .nn import ArchSpec
 
-__all__ = ["DeepMappingConfig", "DeepMapping", "LookupStats"]
+__all__ = [
+    "DeepMappingConfig", "DeepMapping", "LookupStats", "predict_codes", "misclassified",
+]
+
+INFER_BATCH = 65536  # keys per model call, in the sweep and at lookup alike
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,6 @@ class DeepMappingConfig:
     # retrain when T_aux grows beyond this many bytes (None = never; the
     # paper's DM-Z vs DM-Z1 distinction)
     retrain_threshold_bytes: int | None = None
-    infer_batch: int = 65536
 
 
 @dataclass
@@ -64,6 +71,37 @@ class LookupStats:
     def reset(self):
         self.inference_time = self.existence_time = 0.0
         self.aux_time = self.decode_time = 0.0
+
+
+def predict_codes(
+    model: MappingModel, ks: KeySpace, dense: np.ndarray, cols: list[str]
+) -> dict[str, np.ndarray]:
+    """Model-predicted int32 codes of ``cols`` for dense keys, run in
+    batches of ``INFER_BATCH`` keys."""
+    out = {c: np.empty(len(dense), dtype=np.int32) for c in cols}
+    for s in range(0, len(dense), INFER_BATCH):
+        sl = slice(s, s + INFER_BATCH)
+        p = model.predict(ks.features_from_dense(dense[sl]))
+        for c in cols:
+            out[c][sl] = p[c]
+    return out
+
+
+def misclassified(
+    model: MappingModel, ks: KeySpace, dense: np.ndarray, codes: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Mask of the keys the model gets wrong on any column of ``codes`` —
+    the tuples ``T_aux`` must hold, with the correct codes of all columns."""
+    pred = predict_codes(model, ks, dense, list(codes))
+    wrong = np.zeros(len(dense), dtype=bool)
+    for c, v in codes.items():
+        wrong |= pred[c] != v
+    return wrong
+
+
+def _key_matrix(keys: np.ndarray) -> np.ndarray:
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys[:, None] if keys.ndim == 1 else keys
 
 
 class DeepMapping:
@@ -118,39 +156,16 @@ class DeepMapping:
         """
         pool = pool if pool is not None else MemoryPool(None)
         ks = key_space or KeySpace.from_columns(df, key_cols)
-        dense = ks.dense_index(df[key_cols].to_numpy())
-        if len(np.unique(dense)) != len(dense):
-            raise ValueError("key columns do not uniquely identify rows")
-
-        codecs = {c: LabelCodec(df[c]) for c in value_cols}
-        codes = {c: codecs[c].encode(df[c]) for c in value_cols}
-        n_classes = {c: codecs[c].n_classes for c in value_cols}
-
-        if model is None:
-            model = train_model(ks, dense, codes, n_classes, config.arch, config.train)
-
-        # run every key through the model; tuples misclassified on any
-        # column go to T_aux with the correct codes of all columns
-        aux_keys, aux_codes = [], {c: [] for c in value_cols}
-        for s in range(0, len(dense), config.infer_batch):
-            sl = slice(s, s + config.infer_batch)
-            pred = model.predict(ks.features_from_dense(dense[sl]))
-            wrong = np.zeros(len(dense[sl]), dtype=bool)
-            for c in value_cols:
-                wrong |= pred[c] != codes[c][sl]
-            aux_keys.append(dense[sl][wrong])
-            for c in value_cols:
-                aux_codes[c].append(codes[c][sl][wrong])
+        dense, codecs, model, aux_keys, aux_codes = _fit(
+            df, ks, key_cols, value_cols, config, model
+        )
         aux = AuxTable(
             workdir,
             codec=config.codec,
             partition_bytes=config.partition_bytes,
             pool=pool,
         )
-        aux.build(
-            np.concatenate(aux_keys) if aux_keys else np.empty(0, np.int64),
-            {c: np.concatenate(v) for c, v in aux_codes.items()},
-        )
+        aux.build(aux_keys, aux_codes)
 
         vexist = BitVector(ks.size)
         vexist.set(dense)
@@ -170,55 +185,59 @@ class DeepMapping:
         DataFrame with the key columns and requested value columns, with
         None for non-existing keys (Algorithm 1's NULL)."""
         cols = cols or self.value_cols
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        n = len(keys)
+        keys = _key_matrix(keys)
+        found, vals = self.lookup_arrays(keys, cols)
 
         t0 = time.perf_counter()
+        out = {kc: keys[:, i] for i, kc in enumerate(self.key_cols)}
+        for c in cols:
+            out[c] = np.full(len(keys), None, dtype=object)
+            out[c][found] = vals[c]
+        df = pd.DataFrame(out)
+        self.stats.decode_time += time.perf_counter() - t0
+        return df
+
+    def lookup_arrays(
+        self, keys: np.ndarray, cols: list[str] | None = None
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Algorithm 1 without the NULL edge: ``(found, values)`` where
+        ``found`` marks the existing keys and ``values[col]`` holds their
+        decoded values, native dtype, in query order."""
+        cols = cols or self.value_cols
+        keys = _key_matrix(keys)
+
+        t0 = time.perf_counter()
+        found = np.zeros(len(keys), dtype=bool)
+        dense = np.empty(0, dtype=np.int64)
         in_domain = self.key_space.contains(keys)
-        dense = np.full(n, -1, dtype=np.int64)
         if in_domain.any():
-            dense[in_domain] = self.key_space.dense_index(keys[in_domain])
-        exists = np.zeros(n, dtype=bool)
-        if in_domain.any():
-            exists[in_domain] = self.vexist.get(dense[in_domain])
+            idx = np.flatnonzero(in_domain)
+            dense = self.key_space.dense_index(keys[idx])
+            exists = self.vexist.get(dense)
+            found[idx[exists]] = True
+            dense = dense[exists]
         self.stats.existence_time += time.perf_counter() - t0
 
         # batch inference over existing keys only (paper runs the model on
         # the whole batch; restricting to existing keys is the same work
         # modulo the spurious rows, which the existence check discards)
         t0 = time.perf_counter()
-        pred: dict[str, np.ndarray] = {c: np.full(n, -1, dtype=np.int32) for c in cols}
-        ex_idx = np.flatnonzero(exists)
-        for s in range(0, len(ex_idx), self.config.infer_batch):
-            b = ex_idx[s : s + self.config.infer_batch]
-            p = self.model.predict(self.key_space.features_from_dense(dense[b]))
-            for c in cols:
-                pred[c][b] = p[c]
+        pred = predict_codes(self.model, self.key_space, dense, cols)
         self.stats.inference_time += time.perf_counter() - t0
 
         # auxiliary validation: tuples found in T_aux override the model
         t0 = time.perf_counter()
-        if len(ex_idx):
-            mask, aux_codes = self.aux.lookup(dense[ex_idx])
+        if len(dense):
+            mask, aux_codes = self.aux.lookup(dense)
             if mask.any():
                 for c in cols:
-                    pred[c][ex_idx[mask]] = aux_codes[c]
+                    pred[c][mask] = aux_codes[c]
         self.stats.aux_time += time.perf_counter() - t0
 
-        # decode to original values; non-existing → None
         t0 = time.perf_counter()
-        out = {}
-        for i, kc in enumerate(self.key_cols):
-            out[kc] = keys[:, i]
-        for c in cols:
-            vals = np.full(n, None, dtype=object)
-            if len(ex_idx):
-                vals[ex_idx] = self.codecs[c].decode(pred[c][ex_idx])
-            out[c] = vals
+        vals = {c: self.codecs[c].decode(pred[c]) for c in cols}
         self.stats.decode_time += time.perf_counter() - t0
-        return pd.DataFrame(out)
+        return found, vals
 
     # ---------------------------------------------------------- Sec. IV-E range
     def lookup_range(
@@ -234,53 +253,43 @@ class DeepMapping:
     # ------------------------------------------------------------- Algorithm 3
     def insert(self, df: pd.DataFrame) -> None:
         """Insert rows; only model-misclassified mappings enter T_aux."""
-        dense = self.key_space.dense_index(df[self.key_cols].to_numpy())
+        dense = self._batch_keys(df)
         if self.vexist.get(dense).any():
             raise ValueError("insert of an existing key — use update()")
-        self.vexist.set(dense)
-        self.pool.pin("dm:vexist", self.vexist.nbytes_resident())
-
-        pred = self._predict_dense(dense)
-        codes = {c: self._encode_extend(c, df[c]) for c in self.value_cols}
-        wrong = np.zeros(len(dense), dtype=bool)
-        for c in self.value_cols:
-            wrong |= pred[c] != codes[c]
+        codecs, codes, wrong = self._encode(df, dense)
         if wrong.any():
             self.aux.apply(
                 upsert_keys=dense[wrong],
                 upsert_codes={c: v[wrong] for c, v in codes.items()},
             )
+        self._set_codecs(codecs)
+        self.vexist.set(dense)
+        self.pool.pin("dm:vexist", self.vexist.nbytes_resident())
         self._maybe_retrain()
 
     # ------------------------------------------------------------- Algorithm 4
     def delete(self, keys: np.ndarray) -> None:
         """Delete keys: clear existence bits, purge from T_aux."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        dense = self.key_space.dense_index(keys)
+        dense = self.key_space.dense_index(_key_matrix(keys))
+        self.aux.apply(remove_keys=dense)
         self.vexist.set(dense, False)
         self.pool.pin("dm:vexist", self.vexist.nbytes_resident())
-        self.aux.remove_keys(dense)
         self._maybe_retrain()
 
     # ------------------------------------------------------------- Algorithm 5
     def update(self, df: pd.DataFrame) -> None:
         """Replace values of existing keys; mis-learned values go to T_aux,
         values the model now predicts correctly leave T_aux."""
-        dense = self.key_space.dense_index(df[self.key_cols].to_numpy())
+        dense = self._batch_keys(df)
         if not self.vexist.get(dense).all():
             raise KeyError("update of a non-existing key — use insert()")
-        pred = self._predict_dense(dense)
-        codes = {c: self._encode_extend(c, df[c]) for c in self.value_cols}
-        wrong = np.zeros(len(dense), dtype=bool)
-        for c in self.value_cols:
-            wrong |= pred[c] != codes[c]
+        codecs, codes, wrong = self._encode(df, dense)
         self.aux.apply(
             upsert_keys=dense[wrong],
             upsert_codes={c: v[wrong] for c, v in codes.items()},
             remove_keys=dense[~wrong],
         )
+        self._set_codecs(codecs)
         self._maybe_retrain()
 
     # ------------------------------------------------------------ retraining
@@ -295,69 +304,61 @@ class DeepMapping:
         The paper triggers this offline when T_aux exceeds its threshold;
         model search (MHAS) is re-run separately — here we retrain the
         current architecture (DESIGN.md §6)."""
-        snapshot = self.materialize()
-        codecs = {c: LabelCodec(snapshot[c]) for c in self.value_cols}
-        codes = {c: codecs[c].encode(snapshot[c]) for c in self.value_cols}
-        n_classes = {c: codecs[c].n_classes for c in self.value_cols}
-        dense = self.key_space.dense_index(snapshot[self.key_cols].to_numpy())
-        model = train_model(
-            self.key_space, dense, codes, n_classes, self.config.arch, self.config.train
+        _, codecs, model, aux_keys, aux_codes = _fit(
+            self.materialize(), self.key_space, self.key_cols, self.value_cols, self.config
         )
-        aux_keys, aux_codes = [], {c: [] for c in self.value_cols}
-        for s in range(0, len(dense), self.config.infer_batch):
-            sl = slice(s, s + self.config.infer_batch)
-            p = model.predict(self.key_space.features_from_dense(dense[sl]))
-            w = np.zeros(len(dense[sl]), dtype=bool)
-            for c in self.value_cols:
-                w |= p[c] != codes[c][sl]
-            aux_keys.append(dense[sl][w])
-            for c in self.value_cols:
-                aux_codes[c].append(codes[c][sl][w])
+        self.aux.build(aux_keys, aux_codes)
         self.model = model
         self.codecs = codecs
-        self.aux.build(
-            np.concatenate(aux_keys) if aux_keys else np.empty(0, np.int64),
-            {c: np.concatenate(v) for c, v in aux_codes.items()},
-        )
         self.retrain_count += 1
         self._pin_residents()
 
     def materialize(self) -> pd.DataFrame:
-        """All currently existing rows, reconstructed through lookup()."""
-        dense = self.vexist.set_indices()
-        frames = []
-        step = 1 << 18
-        for s in range(0, len(dense), step):
-            keys = self.key_space.from_dense(dense[s : s + step])
-            frames.append(self.lookup(keys))
-        if not frames:
-            return pd.DataFrame(columns=self.key_cols + self.value_cols)
-        return pd.concat(frames, ignore_index=True)
+        """All currently existing rows, reconstructed through lookup, with
+        each value column in its native dtype."""
+        keys = self.key_space.from_dense(self.vexist.set_indices())
+        _, vals = self.lookup_arrays(keys)
+        return pd.DataFrame({**{kc: keys[:, i] for i, kc in enumerate(self.key_cols)}, **vals})
 
     # --------------------------------------------------------------- helpers
-    def _predict_dense(self, dense: np.ndarray) -> dict[str, np.ndarray]:
-        out = {c: np.empty(len(dense), dtype=np.int32) for c in self.value_cols}
-        for s in range(0, len(dense), self.config.infer_batch):
-            sl = slice(s, s + self.config.infer_batch)
-            p = self.model.predict(self.key_space.features_from_dense(dense[sl]))
-            for c in self.value_cols:
-                out[c][sl] = p[c]
-        return out
+    def _batch_keys(self, df: pd.DataFrame) -> np.ndarray:
+        """Dense keys of a modification batch, which must hold every key and
+        value column and no key twice."""
+        missing = [c for c in self.key_cols + self.value_cols if c not in df.columns]
+        if missing:
+            raise KeyError(f"modification batch lacks columns {missing}")
+        dense = self.key_space.dense_index(df[self.key_cols].to_numpy())
+        if len(np.unique(dense)) != len(dense):
+            raise ValueError("duplicate keys in one modification batch")
+        return dense
 
-    def _encode_extend(self, col: str, values: pd.Series) -> np.ndarray:
-        """Encode values, extending f_decode with unseen categories (these
-        can never be predicted by the fixed-output model, so the rows land
-        in T_aux — exactly the lazy-update semantics of Sec. IV-D)."""
-        codec = self.codecs[col]
-        new = pd.unique(pd.Series(values))
-        unseen = [v for v in new if v not in set(codec.classes_.tolist())]
-        if unseen:
-            # np.concatenate promotes to a common dtype (e.g. wider strings)
-            codec.__setstate__(
-                {"classes_": np.concatenate([codec.classes_, np.asarray(unseen)])}
-            )
+    def _encode(
+        self, df: pd.DataFrame, dense: np.ndarray
+    ) -> tuple[dict[str, LabelCodec], dict[str, np.ndarray], np.ndarray]:
+        """(codecs, codes, misclassified mask) for a modification batch,
+        leaving the structure untouched. A codec meeting unseen categories is
+        replaced by an extended copy: the fixed-output model can never
+        predict those, so the rows land in T_aux — exactly the lazy-update
+        semantics of Sec. IV-D."""
+        codecs, codes = {}, {}
+        for c in self.value_cols:
+            codec = self.codecs[c]
+            known = set(codec.classes_.tolist())
+            unseen = [v for v in pd.unique(df[c]) if v not in known]
+            if unseen:
+                # np.concatenate promotes to a common dtype (e.g. wider strings)
+                codec = LabelCodec.__new__(LabelCodec)
+                codec.__setstate__(
+                    {"classes_": np.concatenate([self.codecs[c].classes_, np.asarray(unseen)])}
+                )
+            codecs[c] = codec
+            codes[c] = codec.encode(df[c])
+        return codecs, codes, misclassified(self.model, self.key_space, dense, codes)
+
+    def _set_codecs(self, codecs: dict[str, LabelCodec]) -> None:
+        if any(codecs[c] is not self.codecs[c] for c in codecs):
+            self.codecs = codecs
             self.pool.pin("dm:fdecode", decode_map_bytes(self.codecs))
-        return codec.encode(values)
 
     # ---------------------------------------------------------------- sizing
     def storage_breakdown(self) -> dict[str, int]:
@@ -387,7 +388,35 @@ class DeepMapping:
         return 1.0 - self.aux.n_entries / n_exist
 
     def accuracy_on(self, df: pd.DataFrame) -> dict[str, float]:
-        """Model-only accuracy per column over the rows of ``df``."""
+        """Model-only accuracy per column over the rows of ``df`` (the
+        paper's 'model memorized N% of tuples' is their mean)."""
         dense = self.key_space.dense_index(df[self.key_cols].to_numpy())
-        codes = {c: self.codecs[c].encode(df[c]) for c in self.value_cols}
-        return evaluate_accuracy(self.model, self.key_space, dense, codes)
+        return {
+            c: 1.0 - float(misclassified(
+                self.model, self.key_space, dense, {c: self.codecs[c].encode(df[c])}
+            ).mean())
+            for c in self.value_cols
+        }
+
+
+def _fit(
+    df: pd.DataFrame,
+    ks: KeySpace,
+    key_cols: list[str],
+    value_cols: list[str],
+    config: DeepMappingConfig,
+    model: MappingModel | None = None,
+) -> tuple[np.ndarray, dict[str, LabelCodec], MappingModel, np.ndarray, dict[str, np.ndarray]]:
+    """Encode a relation, train the model unless one is given, and sweep
+    every key through it: (dense keys, codecs, model, T_aux keys, T_aux
+    codes). Build and retrain share this routine."""
+    dense = ks.dense_index(df[key_cols].to_numpy())
+    if len(np.unique(dense)) != len(dense):
+        raise ValueError("key columns do not uniquely identify rows")
+    codecs = {c: LabelCodec(df[c]) for c in value_cols}
+    codes = {c: codecs[c].encode(df[c]) for c in value_cols}
+    if model is None:
+        n_classes = {c: codecs[c].n_classes for c in value_cols}
+        model = train_model(ks, dense, codes, n_classes, config.arch, config.train)
+    wrong = misclassified(model, ks, dense, codes)
+    return dense, codecs, model, dense[wrong], {c: v[wrong] for c, v in codes.items()}

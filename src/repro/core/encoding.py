@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -216,11 +216,6 @@ class LabelCodec:
     def __setstate__(self, state):
         self.classes_ = state["classes_"]
         self._index = pd.Index(self.classes_)
-
-
-@dataclass
-class _SizedPickle:
-    payload: bytes = field(repr=False, default=b"")
 
 
 def decode_map_bytes(codecs: dict[str, LabelCodec]) -> int:

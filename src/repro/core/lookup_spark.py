@@ -1,13 +1,18 @@
-"""Spark integration: distributed build and batch lookup (Algorithm 1,
-"(Parallel) Batch Key Lookup").
+"""Spark integration: batch lookup (Algorithm 1, "(Parallel) Batch Key
+Lookup").
 
 The hybrid structure is a read-only object once built, so it is shipped
 to executors with ``SparkContext.broadcast`` (memory pools drop their
 runtime caches on pickle; partition files live on the shared local FS).
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
-DataFrame — the paper's batched, parallel inference path. The build-side
-misclassification sweep (every key run through the trained model) is also
-expressed as ``mapInPandas`` so Catalyst scans the relation once.
+DataFrame — the paper's batched, parallel inference path. Each batch gets
+the structure's typed result (found-mask plus native-dtype values) and
+turns it into nullable columns, NULL for non-existing keys.
+
+The structure itself is built on the driver with
+:meth:`~repro.core.deepmapping.DeepMapping.build` over a pandas relation
+(the paper trains centrally too); ``jobs/build_deepmapping.py`` collects
+the Spark relation and calls it.
 """
 from __future__ import annotations
 
@@ -18,14 +23,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from .deepmapping import DeepMapping, DeepMappingConfig
-from .encoding import KeySpace, LabelCodec
-from .model import train_model
-from ..baselines.memory_pool import MemoryPool
-from .aux_table import AuxTable
-from .bitvector import BitVector
+from .deepmapping import DeepMapping
 
-__all__ = ["lookup_distributed", "build_distributed", "misclassified_distributed"]
+__all__ = ["lookup_distributed"]
 
 
 def _spark_type_for(values: np.ndarray) -> T.DataType:
@@ -37,6 +37,17 @@ def _spark_type_for(values: np.ndarray) -> T.DataType:
     if kind == "b":
         return T.BooleanType()
     return T.StringType()
+
+
+def _nullable(found: np.ndarray, values: np.ndarray) -> pd.arrays.IntegerArray | np.ndarray:
+    """A column aligned with ``found``: ``values`` where found, NULL elsewhere."""
+    if values.dtype.kind in "iu":
+        data = np.zeros(len(found), dtype=np.int64)
+        data[found] = values
+        return pd.arrays.IntegerArray(data, ~found)
+    out = np.full(len(found), None, dtype=object)
+    out[found] = values
+    return out
 
 
 def lookup_distributed(
@@ -60,99 +71,11 @@ def lookup_distributed(
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            res = local.lookup(pdf[key_cols].to_numpy(), cols)
-            for c in cols:  # object→native for Arrow
-                if local.codecs[c].classes_.dtype.kind in "iu":
-                    res[c] = pd.array(
-                        [None if v is None else int(v) for v in res[c]], dtype="Int64"
-                    )
-            yield res
-
-    return keys_df.select(*key_cols).mapInPandas(run, schema=schema)
-
-
-def misclassified_distributed(
-    spark: SparkSession,
-    sdf: DataFrame,
-    key_cols: list[str],
-    value_cols: list[str],
-    key_space: KeySpace,
-    codecs: dict[str, LabelCodec],
-    model_bytes: bytes,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run every key of ``sdf`` through the model on executors and collect
-    the misclassified tuples: dense keys plus the correct codes of all
-    value columns (row-level, as ``T_aux`` stores them)."""
-    from .model import MappingModel
-
-    bc = spark.sparkContext.broadcast((model_bytes, key_space, codecs))
-    schema = T.StructType(
-        [T.StructField("dense_key", T.LongType(), False)]
-        + [T.StructField(f"code_{c}", T.IntegerType(), False) for c in value_cols]
-    )
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        mb, ks, cds = bc.value
-        model = MappingModel.from_bytes(mb)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            dense = ks.dense_index(pdf[key_cols].to_numpy())
-            pred = model.predict(ks.features_from_dense(dense))
-            codes = {c: cds[c].encode(pdf[c]) for c in value_cols}
-            wrong = np.zeros(len(dense), dtype=bool)
-            for c in value_cols:
-                wrong |= pred[c] != codes[c]
-            out = {"dense_key": dense[wrong]}
-            for c in value_cols:
-                out[f"code_{c}"] = codes[c][wrong].astype(np.int32)
+            keys = pdf[key_cols].to_numpy(np.int64)
+            found, vals = local.lookup_arrays(keys, cols)
+            out = {k: keys[:, i] for i, k in enumerate(key_cols)}
+            for c in cols:
+                out[c] = _nullable(found, vals[c])
             yield pd.DataFrame(out)
 
-    res = sdf.select(*key_cols, *value_cols).mapInPandas(run, schema=schema).toPandas()
-    return (
-        res["dense_key"].to_numpy(np.int64),
-        {c: res[f"code_{c}"].to_numpy(np.int32) for c in value_cols},
-    )
-
-
-def build_distributed(
-    spark: SparkSession,
-    sdf: DataFrame,
-    key_cols: list[str],
-    value_cols: list[str],
-    config: DeepMappingConfig = DeepMappingConfig(),
-    *,
-    workdir: str,
-    pool: MemoryPool | None = None,
-    key_space: KeySpace | None = None,
-) -> DeepMapping:
-    """Spark-side hybrid build: dictionaries from Spark SQL ``DISTINCT``,
-    model trained on the driver (the paper trains centrally too), and the
-    misclassification sweep distributed via ``mapInPandas``."""
-    pool = pool if pool is not None else MemoryPool(None)
-    pdf_keys = sdf.select(*key_cols, *value_cols).toPandas()
-    ks = key_space or KeySpace.from_columns(pdf_keys, key_cols)
-    dense = ks.dense_index(pdf_keys[key_cols].to_numpy())
-    if len(np.unique(dense)) != len(dense):
-        raise ValueError("key columns do not uniquely identify rows")
-
-    codecs = {}
-    for c in value_cols:  # Catalyst DISTINCT per column
-        vals = [r[0] for r in sdf.select(c).distinct().collect()]
-        codecs[c] = LabelCodec(np.asarray(vals))
-    codes = {c: codecs[c].encode(pdf_keys[c]) for c in value_cols}
-    n_classes = {c: codecs[c].n_classes for c in value_cols}
-    model = train_model(ks, dense, codes, n_classes, config.arch, config.train)
-
-    mis_keys, mis_codes = misclassified_distributed(
-        spark, sdf, key_cols, value_cols, ks, codecs, model.to_bytes()
-    )
-    aux = AuxTable(
-        workdir, codec=config.codec, partition_bytes=config.partition_bytes, pool=pool
-    )
-    aux.build(mis_keys, mis_codes)
-    vexist = BitVector(ks.size)
-    vexist.set(dense)
-    return DeepMapping(
-        ks, key_cols, value_cols, model, codecs, aux, vexist, config, workdir, pool
-    )
+    return keys_df.select(*key_cols).mapInPandas(run, schema=schema)

@@ -19,7 +19,7 @@ import numpy as np
 from .encoding import KeySpace
 from .nn import ArchSpec, MultiTaskMLP
 
-__all__ = ["TrainConfig", "MappingModel", "train_model", "evaluate_accuracy"]
+__all__ = ["TrainConfig", "MappingModel", "train_model"]
 
 # columns with more classes than this get per-digit sub-task heads
 DIGIT_THRESHOLD = 64
@@ -171,21 +171,3 @@ def train_model(
     )
     return model
 
-
-def evaluate_accuracy(
-    model: MappingModel,
-    key_space: KeySpace,
-    dense_keys: np.ndarray,
-    codes: dict[str, np.ndarray],
-    batch: int = 65536,
-) -> dict[str, float]:
-    """Fraction of keys whose prediction matches, per task (paper's
-    'model memorized N% of tuples' metric is the mean of these)."""
-    n = len(dense_keys)
-    correct = {c: 0 for c in codes}
-    for s in range(0, n, batch):
-        x = key_space.features_from_dense(dense_keys[s : s + batch])
-        pred = model.predict(x)
-        for c in codes:
-            correct[c] += int((pred[c] == codes[c][s : s + batch]).sum())
-    return {c: correct[c] / max(1, n) for c in codes}

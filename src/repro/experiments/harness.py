@@ -90,25 +90,24 @@ class _StoreAdapter:
         self.value_cols = value_cols
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        if self.kind == "deepmapping":
-            df = self.obj.lookup(keys)
-            found = df[self.value_cols[0]].notna().to_numpy()
-            return found, {c: df[c].to_numpy() for c in self.value_cols}
+        """(found_mask, {col: object array aligned with ``keys``, None
+        where not found}) — the NULL edge of every store's typed result."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim == 1:
             keys = keys[:, None]
-        in_dom = self.key_space.contains(keys)
-        dense = np.full(len(keys), -1, dtype=np.int64)
-        if in_dom.any():
-            dense[in_dom] = self.key_space.dense_index(keys[in_dom])
-        found = np.zeros(len(keys), dtype=bool)
-        out = {c: np.full(len(keys), None, dtype=object) for c in self.value_cols}
-        if in_dom.any():
-            f, vals = self.obj.lookup_batch(dense[in_dom])
-            idx = np.flatnonzero(in_dom)
-            found[idx] = f
-            for c in self.value_cols:
-                out[c][idx] = vals[c]
+        if self.kind == "deepmapping":
+            found, vals = self.obj.lookup_arrays(keys)
+        else:
+            in_dom = self.key_space.contains(keys)
+            found, vals = np.zeros(len(keys), dtype=bool), {}
+            if in_dom.any():
+                hit, vals = self.obj.lookup_batch(self.key_space.dense_index(keys[in_dom]))
+                found[in_dom] = hit
+        out = {}
+        for c in self.value_cols:
+            out[c] = np.full(len(keys), None, dtype=object)
+            if found.any():
+                out[c][found] = vals[c]
         return found, out
 
     @property

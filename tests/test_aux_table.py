@@ -38,7 +38,7 @@ def test_lookup_mixed_order_preserved(aux):
 
 
 def test_contains(aux):
-    assert aux.contains(np.array([5, 6])).tolist() == [True, False]
+    assert aux.lookup(np.array([5, 6]))[0].tolist() == [True, False]
 
 
 def test_n_entries(aux):
@@ -68,13 +68,13 @@ def test_apply_upsert_overwrites(aux):
 def test_apply_remove(aux):
     aux.apply(remove_keys=np.array([5, 9]))
     assert aux.n_entries == 1
-    assert not aux.contains(np.array([5]))[0]
+    assert not aux.lookup(np.array([5]))[0][0]
 
 
 def test_remove_keys(aux):
-    aux.remove_keys(np.array([1, 9]))
+    aux.apply(remove_keys=np.array([1, 9]))
     assert aux.n_entries == 1
-    assert aux.contains(np.array([5]))[0]
+    assert aux.lookup(np.array([5]))[0][0]
 
 
 def test_rebuild_invalidates_stale_cache(tmp_path):
@@ -85,6 +85,17 @@ def test_rebuild_invalidates_stale_cache(tmp_path):
     t.apply(upsert_keys=np.array([1]), upsert_codes={"a": np.array([99])})
     _, codes = t.lookup(np.array([1]))
     assert codes["a"].tolist() == [99]
+
+
+def test_failed_apply_leaves_table_unchanged(aux, tmp_path):
+    keys, codes = aux.master()
+    files = sorted(str(p) for p in tmp_path.rglob("*"))
+    with pytest.raises(ValueError):
+        aux.apply(upsert_keys=np.array([7, 7]), upsert_codes={"a": np.array([1, 2]), "b": np.array([1, 2])})
+    assert aux.master()[0].tolist() == keys.tolist()
+    assert aux.master()[1]["a"].tolist() == codes["a"].tolist()
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == files  # no half-written generation
+    assert aux.lookup(np.array([5, 7]))[0].tolist() == [True, False]
 
 
 def test_keys_sorted_within_store(aux):

@@ -8,6 +8,7 @@ from repro.core.deepmapping import DeepMapping, DeepMappingConfig
 from repro.core.encoding import KeySpace
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
+from repro.synth_data import synth_correlation
 
 CFG = DeepMappingConfig(
     arch=ArchSpec((48,), {}), train=TrainConfig(epochs=25, batch_size=256), codec="z"
@@ -188,3 +189,45 @@ class TestSerialization:
         d2 = pickle.loads(pickle.dumps(d))
         out = d2.lookup(df["key"].to_numpy()[:100])
         assert (out["hard"].to_numpy() == df["hard"].to_numpy()[:100]).all()
+
+
+class _Frames:
+    """Stands in for a SparkSession: the generator's ``createDataFrame``
+    hands the pandas frame back, so no JVM starts."""
+
+    def createDataFrame(self, pdf):  # noqa: N802
+        return pdf
+
+
+class TestSweepInvariant:
+    """Lookup-time inference must reproduce the build sweep's argmax on every
+    key, whatever the batch it runs in: T_aux repairs only the misses the
+    sweep saw, so a flipped argmax on a memorized key is a wrong answer."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        df = synth_correlation(_Frames(), n=20_000, n_value_cols=4, correlated=True)
+        d = DeepMapping.build(
+            df, ["key"], ["v0", "v1", "v2", "v3"],
+            DeepMappingConfig(train=TrainConfig(epochs=3)),
+            workdir=str(tmp_path_factory.mktemp("sweep")),
+        )
+        return d, df
+
+    def test_model_answers_most_keys(self, built):
+        d, _ = built
+        assert d.memorized_fraction > 0.85
+
+    @pytest.mark.parametrize("batch", [1, 7, 1000, 20_000])
+    def test_lossless_in_shuffled_batches(self, built, batch):
+        d, df = built
+        keys = np.random.default_rng(batch).permutation(df["key"].to_numpy())
+        got = {c: np.empty(len(df), dtype=df[c].dtype) for c in d.value_cols}
+        for s in range(0, len(keys), batch):
+            q = keys[s : s + batch]
+            found, vals = d.lookup_arrays(q)
+            assert found.all()
+            for c in d.value_cols:
+                got[c][q - 1] = vals[c]  # keys are 1..n
+        for c in d.value_cols:
+            assert (got[c] == df[c].to_numpy()).all(), c

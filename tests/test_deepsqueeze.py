@@ -30,7 +30,7 @@ def test_missing_keys(store):
     st, keys, _ = store
     found, out = st.lookup_batch(np.array([5000, 6000]))
     assert not found.any()
-    assert out["cat"][0] is None
+    assert len(out["cat"]) == 0
 
 
 def test_mixed_alignment(store):
@@ -38,8 +38,7 @@ def test_mixed_alignment(store):
     q = np.array([10, 9999, 20])
     found, out = st.lookup_batch(q)
     assert found.tolist() == [True, False, True]
-    assert out["num"][0] == values["num"][10]
-    assert out["num"][2] == values["num"][20]
+    assert out["num"].tolist() == [values["num"][10], values["num"][20]]
 
 
 def test_size_positive_and_counts_corrections(store):

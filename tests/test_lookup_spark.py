@@ -4,9 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig
-from repro.core.lookup_spark import (
-    build_distributed, lookup_distributed, misclassified_distributed,
-)
+from repro.core.lookup_spark import lookup_distributed
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
 from repro.oracle import assert_equivalent
@@ -29,55 +27,18 @@ def _relation(n=1500, seed=0):
 
 
 @pytest.fixture(scope="module")
-def built(spark, tmp_path_factory):
+def built(tmp_path_factory):
     pdf = _relation()
-    sdf = spark.createDataFrame(pdf)
-    dm = build_distributed(
-        spark, sdf, ["key"], ["easy", "txt"], CFG,
+    dm = DeepMapping.build(
+        pdf, ["key"], ["easy", "txt"], CFG,
         workdir=str(tmp_path_factory.mktemp("spark-dm")),
     )
-    return dm, pdf, sdf
-
-
-class TestBuildDistributed:
-    def test_lossless(self, built):
-        dm, pdf, _ = built
-        out = dm.lookup(pdf["key"].to_numpy())
-        assert (out["easy"].to_numpy() == pdf["easy"].to_numpy()).all()
-        assert (out["txt"].to_numpy() == pdf["txt"].to_numpy()).all()
-
-    def test_matches_local_build_sizes(self, built, tmp_path):
-        dm, pdf, _ = built
-        local = DeepMapping.build(pdf, ["key"], ["easy", "txt"], CFG, workdir=str(tmp_path))
-        # identical training data + seed → identical model and aux contents
-        assert dm.aux.n_entries == local.aux.n_entries
-        assert (dm.aux.master()[0] == local.aux.master()[0]).all()
-        assert dm.vexist.count() == local.vexist.count()
-
-    def test_duplicate_key_rejected(self, spark, tmp_path):
-        sdf = spark.createDataFrame(pd.DataFrame({"key": [1, 1], "v": [1, 2]}))
-        with pytest.raises(ValueError):
-            build_distributed(spark, sdf, ["key"], ["v"], CFG, workdir=str(tmp_path))
-
-
-class TestMisclassifiedDistributed:
-    def test_matches_driver_side_detection(self, spark, built, tmp_path):
-        dm, pdf, sdf = built
-        codecs = {c: dm.codecs[c] for c in ["easy", "txt"]}
-        mis_keys, mis_codes = misclassified_distributed(
-            spark, sdf, ["key"], ["easy", "txt"], dm.key_space, codecs,
-            dm.model.to_bytes(),
-        )
-        want_keys, want_codes = dm.aux.master()
-        assert (np.sort(mis_keys) == want_keys).all()
-        order = np.argsort(mis_keys, kind="stable")
-        for c in ("easy", "txt"):
-            assert (mis_codes[c][order] == want_codes[c]).all()
+    return dm, pdf
 
 
 class TestLookupDistributed:
     def test_matches_driver_lookup(self, spark, built):
-        dm, pdf, _ = built
+        dm, pdf = built
         qkeys = pdf["key"].to_numpy()[::3]
         keys_df = spark.createDataFrame(pd.DataFrame({"key": qkeys}))
         out = lookup_distributed(spark, dm, keys_df).toPandas()
@@ -87,15 +48,24 @@ class TestLookupDistributed:
         assert (out["txt"].to_numpy() == want["txt"].to_numpy()).all()
 
     def test_null_for_missing(self, spark, built):
-        dm, pdf, _ = built
+        dm, pdf = built
         keys_df = spark.createDataFrame(pd.DataFrame({"key": [99999, 1]}))
         out = lookup_distributed(spark, dm, keys_df).toPandas().set_index("key")
-        assert pd.isna(out.loc[99999, "txt"])
+        assert pd.isna(out.loc[99999, "txt"]) and pd.isna(out.loc[99999, "easy"])
         assert out.loc[1, "txt"] == pdf["txt"][0]
+        assert out.loc[1, "easy"] == pdf["easy"][0]
+
+    def test_schema(self, spark, built):
+        dm, _ = built
+        keys_df = spark.createDataFrame(pd.DataFrame({"key": [1]}))
+        schema = lookup_distributed(spark, dm, keys_df).schema
+        assert [(f.name, f.dataType.simpleString(), f.nullable) for f in schema] == [
+            ("key", "bigint", False), ("easy", "bigint", True), ("txt", "string", True),
+        ]
 
     def test_oracle_equivalence(self, spark, built):
         """Algorithm 1 through Spark == the SQL point-lookup semantics."""
-        dm, pdf, _ = built
+        dm, pdf = built
         qkeys = np.unique(pdf["key"].to_numpy()[::5])
         keys_df = spark.createDataFrame(pd.DataFrame({"key": qkeys}))
         got = lookup_distributed(spark, dm, keys_df)
@@ -110,7 +80,7 @@ class TestLookupDistributed:
         )
 
     def test_column_subset(self, spark, built):
-        dm, pdf, _ = built
+        dm, pdf = built
         keys_df = spark.createDataFrame(pd.DataFrame({"key": [2, 3]}))
         out = lookup_distributed(spark, dm, keys_df, cols=["txt"]).toPandas()
         assert set(out.columns) == {"key", "txt"}

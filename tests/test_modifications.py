@@ -1,9 +1,11 @@
 """Tests for Algorithms 3–5: insert / delete / update + retrain trigger."""
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.deepmapping import DeepMapping, DeepMappingConfig
+from repro.core.deepmapping import DeepMapping, DeepMappingConfig, predict_codes
 from repro.core.encoding import KeySpace
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
@@ -112,7 +114,7 @@ class TestDelete:
         before = d.aux.n_entries
         d.delete(keys)
         assert d.aux.n_entries < before
-        assert not d.aux.contains(keys - 1).any()
+        assert not d.aux.lookup(keys - 1)[0].any()
 
     def test_delete_everything(self, dm):
         d, df = dm
@@ -133,7 +135,7 @@ class TestUpdate:
         # set all columns to the model's own prediction → rows leave T_aux
         keys = df["key"].to_numpy()[:200]
         dense = d.key_space.dense_index(keys[:, None])
-        pred = d._predict_dense(dense)
+        pred = predict_codes(d.model, d.key_space, dense, d.value_cols)
         upd = pd.DataFrame(
             {
                 "key": keys,
@@ -143,7 +145,7 @@ class TestUpdate:
         )
         d.update(upd)
         # every updated tuple now matches the model exactly → leaves T_aux
-        assert not d.aux.contains(dense).any()
+        assert not d.aux.lookup(dense)[0].any()
         out = d.lookup(keys)
         assert (out["hard"].to_numpy() == upd["hard"].to_numpy()).all()
         assert (out["easy"].to_numpy() == upd["easy"].to_numpy()).all()
@@ -230,3 +232,63 @@ class TestMixedWorkload:
         assert (out["hard"].to_numpy() == state["hard"].to_numpy()).all()
         gone = d.lookup(dele)
         assert all(v is None for v in gone["easy"])
+
+
+def _state(d):
+    """Everything a rejected modification must leave as it was."""
+    keys, codes = d.aux.master()
+    return (
+        d.vexist.count(),
+        keys.tolist(),
+        {c: v.tolist() for c, v in codes.items()},
+        {c: d.codecs[c].classes_.tolist() for c in d.value_cols},
+        sorted(os.listdir(d.workdir)),
+    )
+
+
+class TestRejectedModification:
+    """Validate-then-commit: a batch that fails leaves V_exist, T_aux and
+    f_decode untouched. Values 100/101 are unseen categories, which the
+    model can never predict, so those rows would all go to T_aux."""
+
+    def test_insert_missing_value_column(self, dm):
+        d, _ = dm
+        before = _state(d)
+        with pytest.raises(KeyError):
+            d.insert(pd.DataFrame({"key": [1500], "easy": [100]}))
+        assert _state(d) == before
+        assert d.lookup(np.array([1500]))["easy"][0] is None
+
+    def test_insert_duplicate_key(self, dm):
+        d, _ = dm
+        before = _state(d)
+        with pytest.raises(ValueError):
+            d.insert(pd.DataFrame({"key": [1500, 1500], "easy": [100, 101], "hard": [100, 101]}))
+        assert _state(d) == before
+        assert d.lookup(np.array([1500]))["easy"][0] is None
+
+    def test_update_duplicate_key(self, dm):
+        d, df = dm
+        before = _state(d)
+        with pytest.raises(ValueError):
+            d.update(pd.DataFrame({"key": [3, 3], "easy": [100, 101], "hard": [100, 101]}))
+        assert _state(d) == before
+        out = d.lookup(np.array([3]))
+        assert out["easy"][0] == df["easy"][2] and out["hard"][0] == df["hard"][2]
+
+
+def test_one_aux_generation_on_disk(dm):
+    """Every T_aux rewrite deletes the generation it supersedes."""
+    d, df = dm
+    new = _relation(50, start=1001, seed=3)
+    d.insert(new)
+    d.update(pd.DataFrame({"key": [3], "easy": [6], "hard": [4]}))
+    d.delete(np.array([5, 6]))
+    d.retrain()
+    d.insert(_relation(10, start=1100, seed=4))
+    gens = [f for f in os.listdir(d.workdir) if f.startswith("aux-g")]
+    assert len(gens) == 1
+    gen = os.path.join(d.workdir, gens[0])
+    assert sum(os.path.getsize(os.path.join(gen, f)) for f in os.listdir(gen)) == d.aux.nbytes_disk
+    out = d.lookup(new["key"].to_numpy())
+    assert (out["hard"].to_numpy() == new["hard"].to_numpy()).all()
