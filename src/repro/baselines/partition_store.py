@@ -152,23 +152,18 @@ class PartitionedStore:
         """
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(len(keys), dtype=bool)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)  # equal keys get equal answers: no need for stable
         pids = self.route(keys[order])
         # runs of equal partition id over the sorted keys
         valid = np.flatnonzero(pids >= 0)
         runs = np.split(valid, np.flatnonzero(np.diff(pids[valid])) + 1) if len(valid) else []
-        hits, parts = [], {c: [] for c in self.dtypes}
+        # values scatter to their query positions; ``found`` then picks them
+        full = {c: np.empty(len(keys), dtype=dt) for c, dt in self.dtypes.items()}
         for sel in runs:
             payload = self._load_partition(int(pids[sel[0]]))
             mask, vals = self._lookup_in_payload(payload, keys[order[sel]])
-            hits.append(order[sel[mask]])
+            hit = order[sel[mask]]
+            found[hit] = True
             for c in self.dtypes:
-                parts[c].append(vals[c])
-        hit = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-        found[hit] = True
-        rank = np.argsort(hit, kind="stable")  # sorted-key order → query order
-        out = {}
-        for c, dt in self.dtypes.items():
-            vals = np.concatenate(parts[c]) if hits else np.empty(0, dt)
-            out[c] = vals.astype(dt, copy=False)[rank]
-        return found, out
+                full[c][hit] = vals[c]
+        return found, {c: v[found] for c, v in full.items()}

@@ -43,9 +43,6 @@ __all__ = [
     "DeepMappingConfig", "DeepMapping", "LookupStats", "predict_codes", "misclassified",
 ]
 
-INFER_BATCH = 65536  # keys per model call, in the sweep and at lookup alike
-
-
 @dataclass(frozen=True)
 class DeepMappingConfig:
     """Build-time configuration of the hybrid structure."""
@@ -76,15 +73,9 @@ class LookupStats:
 def predict_codes(
     model: MappingModel, ks: KeySpace, dense: np.ndarray, cols: list[str]
 ) -> dict[str, np.ndarray]:
-    """Model-predicted int32 codes of ``cols`` for dense keys, run in
-    batches of ``INFER_BATCH`` keys."""
-    out = {c: np.empty(len(dense), dtype=np.int32) for c in cols}
-    for s in range(0, len(dense), INFER_BATCH):
-        sl = slice(s, s + INFER_BATCH)
-        p = model.predict(ks.features_from_dense(dense[sl]))
-        for c in cols:
-            out[c][sl] = p[c]
-    return out
+    """Model-predicted int32 codes of ``cols`` for dense keys."""
+    pred = model.predict(ks.hot_positions(dense), ks.blocks)
+    return {c: pred[c] for c in cols}
 
 
 def misclassified(

@@ -10,13 +10,17 @@ We provide:
 * :class:`KeySpace` — describes a (possibly composite) integer key. Maps
   each key tuple to a *dense index* via mixed-radix positional encoding,
   which is what the existence bit vector ``V_exist`` is addressed by, and
-  produces the one-hot digit feature matrix fed to the neural network.
+  produces the one-hot digit features fed to the neural network, either as
+  a matrix (training) or in factored form straight from the dense index:
+  per merged block of one-hot columns, the index of the digit combination
+  a key selects (inference, see :meth:`KeySpace.hot_positions`).
 * :class:`LabelCodec` — per-value-column dictionary encoder: original
   values → contiguous integer class codes and back (the ``f_decode`` of
   the paper, one codec per output head).
 """
 from __future__ import annotations
 
+import math
 import pickle
 import zlib
 from dataclasses import dataclass
@@ -26,10 +30,22 @@ import pandas as pd
 
 __all__ = ["KeySpace", "LabelCodec", "decode_map_bytes"]
 
+# most digit combinations one merged block of one-hot columns may span: three
+# decimal digits, so a block's table stays small enough to live in cache
+TABLE_ROWS = 1000
+
 
 def _ndigits(card: int) -> int:
     """Number of base-10 digits needed to render ``card`` distinct values."""
     return max(1, len(str(max(0, card - 1))))
+
+
+def _onehot_rows(radices: tuple[int, ...]) -> np.ndarray:
+    """One-hot features of every digit combination of consecutive one-hot
+    blocks with these radices (most significant first), row-major:
+    [prod(radices), sum(radices)] float32."""
+    digits = np.indices(radices).reshape(len(radices), -1)
+    return np.hstack([np.eye(r, dtype=np.float32)[d] for r, d in zip(radices, digits)])
 
 
 @dataclass(frozen=True)
@@ -114,16 +130,18 @@ class KeySpace:
             idx = idx * card + off
         return idx
 
+    def _offsets(self, idx: np.ndarray) -> list[np.ndarray]:
+        """Offset of each key component within its range, from dense keys."""
+        out = []
+        rem = np.asarray(idx, dtype=np.int64)
+        for card in self.cards[:0:-1]:
+            rem, off = np.divmod(rem, card)
+            out.append(off)
+        return [rem] + out[::-1]
+
     def from_dense(self, idx: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`dense_index`; returns [n, ncomp]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty((len(idx), self.n_components), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(self.n_components - 1, -1, -1):
-            card = self.cards[i]
-            out[:, i] = rem % card + self.lows[i]
-            rem //= card
-        return out
+        return np.stack(self._offsets(idx), axis=1) + np.asarray(self.lows, dtype=np.int64)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Boolean mask of key tuples that fall inside the domain."""
@@ -172,8 +190,54 @@ class KeySpace:
             out[rows, col + digit] = 1.0
         return out
 
+    def _runs(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """``(source, divisor, radices)`` per merged block, in column order.
+
+        A merged block is a run of consecutive one-hot blocks that render one
+        source, as long as the product of its radices stays ≤ ``TABLE_ROWS``.
+        The source is a key component's offset, or the dense index with
+        ``feature_radices`` (source 0 either way for simple keys). The run's
+        digits, read as one mixed-radix number, are
+        ``source // divisor % prod(radices)``.
+        """
+        if self.feature_radices is not None:
+            digits = [(0, r) for r in self.feature_radices]
+        else:
+            digits = [(i, 10) for i, c in enumerate(self.cards) for _ in range(_ndigits(c))]
+        runs: list[tuple[int, int, tuple[int, ...]]] = []
+        divisor: dict[int, int] = {}
+        for src, r in reversed(digits):  # least significant first
+            div = divisor.get(src, 1)
+            if runs and runs[-1][0] == src and math.prod(runs[-1][2]) * r <= TABLE_ROWS:
+                runs[-1] = (src, runs[-1][1], (r,) + runs[-1][2])
+            else:
+                runs.append((src, div, (r,)))
+            divisor[src] = div * r
+        return runs[::-1]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Radices of each merged block, in column order."""
+        return tuple(radices for _, _, radices in self._runs())
+
+    def hot_positions(self, idx: np.ndarray) -> np.ndarray:
+        """One-hot features of dense keys in factored form, [n, n_blocks]
+        intp: ``hot[i, g]`` is the row-major index of key ``i``'s digits in
+        merged block ``g``, whose radices are ``blocks[g]``. Column-major, so
+        each block's positions are contiguous."""
+        idx = np.asarray(idx, dtype=np.int64)
+        src = [idx] if self.feature_radices is not None else self._offsets(idx)
+        runs = self._runs()
+        hot = np.empty((len(idx), len(runs)), dtype=np.intp, order="F")
+        for g, (s, div, radices) in enumerate(runs):
+            np.floor_divide(src[s], div, out=hot[:, g])
+            hot[:, g] %= math.prod(radices)
+        return hot
+
     def features_from_dense(self, idx: np.ndarray) -> np.ndarray:
-        return self.features(self.from_dense(idx))
+        """:meth:`features` of the keys at dense indices ``idx``."""
+        hot = self.hot_positions(idx)
+        return np.hstack([_onehot_rows(r)[h] for r, h in zip(self.blocks, hot.T)])
 
 
 class LabelCodec:

@@ -104,8 +104,7 @@ def estimate_ratio(
     n = len(dense_keys)
     rng = rng or np.random.default_rng(0)
     idx = rng.choice(n, size=min(sample_rows, n), replace=False)
-    x = key_space.features_from_dense(dense_keys[idx])
-    pred = model.predict(x)
+    pred = model.predict(key_space.hot_positions(dense_keys[idx]), key_space.blocks)
     aux_est = 0.0
     for c, y in codes.items():
         miss = float((pred[c] != y[idx]).mean())

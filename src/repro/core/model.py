@@ -78,15 +78,16 @@ class MappingModel:
                     out[f"{c}#d{d}"] = (v // 10**d) % 10
         return out
 
-    def predict(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Column-level argmax codes (digit heads recombined)."""
-        sub = self.net.predict(x)
+    def predict(self, hot: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> dict[str, np.ndarray]:
+        """Column-level argmax codes (digit heads recombined) of keys given
+        as factored one-hot features (:meth:`MultiTaskMLP.predict`)."""
+        sub = self.net.predict(hot, blocks)
         out = {}
         for c, nd in self._digits.items():
             if nd == 0:
                 out[c] = sub[c]
             else:
-                code = np.zeros(len(x), dtype=np.int64)
+                code = np.zeros(len(hot), dtype=np.int64)
                 for d in range(nd):
                     code += sub[f"{c}#d{d}"].astype(np.int64) * 10**d
                 # recombined digits may form a code outside the dictionary;

@@ -4,8 +4,13 @@ No NN framework is installed in this container (see DESIGN.md §2), so the
 network — a trunk of *shared* dense+ReLU layers feeding one *private*
 dense+ReLU stack and softmax output head per value column — is
 implemented directly: forward, softmax cross-entropy backward, and Adam.
-Batch inference is dense float32 matmul, the same computation the paper's
-ONNX-on-CPU path performs on the small-size machine.
+
+Training runs on the one-hot feature matrix. Batch inference
+(:meth:`MultiTaskMLP.predict`) never builds it: the input arrives in
+factored form, so the layer that reads it is a sum of a few rows of tables
+derived from that layer's weights, and the rest of the forward pass is
+float32 matmul with in-place bias and ReLU. :meth:`MultiTaskMLP.logits` is
+the dense reference the tests compare it with.
 
 Weights may be *views into a shared weight bank* (MHAS / ENAS parameter
 sharing): layers are created through a factory so `mhas.py` can hand out
@@ -18,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ArchSpec", "MultiTaskMLP", "softmax"]
+__all__ = ["ArchSpec", "MultiTaskMLP", "softmax", "INFER_BATCH"]
+
+INFER_BATCH = 8192  # keys per forward pass at inference; set by measurement
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -79,6 +86,22 @@ class _Dense:
         return int(self.w.nbytes + self.b.nbytes)
 
 
+def _dense_relu(a: np.ndarray, lyr: _Dense) -> np.ndarray:
+    z = a @ lyr.w
+    z += lyr.b
+    return np.maximum(z, 0.0, out=z)
+
+
+def _argmax_rows(z: np.ndarray) -> np.ndarray:
+    """``z.argmax(axis=0)`` for logits ``z`` [classes, keys], as a few
+    whole-array passes instead of numpy's per-key loop: the first class
+    that holds the maximum carries the largest rank ``k-1-j``. A key with
+    no maximum (NaN logits) gets the last class, which stays in range."""
+    k = len(z)
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
+    return (k - 1) - ((z == z.max(axis=0)) * rank).max(axis=0)
+
+
 class MultiTaskMLP:
     """Shared-trunk / private-head classifier over one-hot key features."""
 
@@ -134,9 +157,76 @@ class MultiTaskMLP:
             out[task] = layers[-1].forward(a)
         return out
 
-    def predict(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Argmax class code per task — paper's ``M.infer`` batch path."""
-        return {t: z.argmax(axis=1).astype(np.int32) for t, z in self.logits(x).items()}
+    def predict(self, hot: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> dict[str, np.ndarray]:
+        """Argmax class code per task — the paper's ``M.infer`` batch path.
+
+        The input is one-hot features in factored form: the feature columns
+        fall into consecutive blocks, block ``g`` spanning one-hot digits of
+        radices ``blocks[g]`` (most significant first), and ``hot[i, g]`` is
+        the row-major index of key ``i``'s digit combination in block ``g``.
+        The layer that reads the features (the first shared layer, or every
+        head's first layer when there is no trunk) is therefore a sum of
+        table rows plus bias: table ``g`` holds the layer's output for every
+        digit combination of block ``g``. The tables are derived from the
+        weights here, on every call, and never kept. The logits of the heads
+        without private layers come from one stacked matrix. Keys run
+        ``INFER_BATCH`` at a time; no key's result depends on the others.
+        """
+        first = self.shared[:1] or [layers[0] for layers in self.heads.values()]
+        w = np.hstack([lyr.w for lyr in first])
+        tables, col = [], 0
+        for radices in blocks:
+            t = np.zeros((1, w.shape[1]), dtype=np.float32)
+            for r in radices:  # every combination of the digits so far
+                t = (t[:, None, :] + w[None, col : col + r]).reshape(-1, w.shape[1])
+                col += r
+            tables.append(t)
+        tables[0] += np.concatenate([lyr.b for lyr in first])
+
+        # the first-layer output holds every head's columns without a trunk;
+        # with one, the heads with no private layers run as one stacked matmul
+        private = [t for t, layers in self.heads.items() if len(layers) > 1]
+        direct = [t for t in self.heads if t not in private]
+        stacked = direct if self.shared else list(self.heads)
+        widths = [len(self.heads[t][0].b) for t in stacked]
+        span = {t: slice(e - k, e) for t, k, e in zip(stacked, widths, np.cumsum(widths))}
+        if self.shared and direct:
+            w_out = np.hstack([self.heads[t][0].w for t in direct]).T
+            b_out = np.concatenate([self.heads[t][0].b for t in direct])[:, None]
+
+        n = len(hot)
+        out = {t: np.empty(n, dtype=np.int32) for t in self.heads}
+        z = np.empty((min(n, INFER_BATCH), w.shape[1]), dtype=np.float32)
+        part = np.empty_like(z)
+        for s in range(0, n, INFER_BATCH):
+            e = min(n, s + INFER_BATCH)
+            zb = z[: e - s]
+            # positions are in range by construction; mode "clip" lets take
+            # write straight into ``out`` where "raise" would buffer
+            np.take(tables[0], hot[s:e, 0], axis=0, out=zb, mode="clip")
+            for g in range(1, len(tables)):
+                np.take(tables[g], hot[s:e, g], axis=0, out=part[: e - s], mode="clip")
+                zb += part[: e - s]
+            if self.shared:
+                h = np.maximum(zb, 0.0, out=zb)
+                for lyr in self.shared[1:]:
+                    h = _dense_relu(h, lyr)
+                head_in = {t: (h, self.heads[t]) for t in private}
+                if direct:
+                    logits = w_out @ h.T  # [classes, keys], as _argmax_rows wants
+                    logits += b_out
+            else:
+                head_in = {t: (np.maximum(zb[:, span[t]], 0.0), self.heads[t][1:]) for t in private}
+                logits = zb.T
+            for t in direct:
+                out[t][s:e] = _argmax_rows(logits[span[t]])
+            for t, (a, layers) in head_in.items():
+                for lyr in layers[:-1]:
+                    a = _dense_relu(a, lyr)
+                zt = layers[-1].w.T @ a.T
+                zt += layers[-1].b[:, None]
+                out[t][s:e] = _argmax_rows(zt)
+        return out
 
     # -- training ------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: dict[str, np.ndarray], lr: float) -> float:

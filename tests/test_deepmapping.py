@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.memory_pool import MemoryPool
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig
 from repro.core.encoding import KeySpace
-from repro.core.model import TrainConfig
+from repro.core.model import MappingModel, TrainConfig
 from repro.core.nn import ArchSpec
 from repro.synth_data import synth_correlation
 
@@ -189,6 +189,34 @@ class TestSerialization:
         d2 = pickle.loads(pickle.dumps(d))
         out = d2.lookup(df["key"].to_numpy()[:100])
         assert (out["hard"].to_numpy() == df["hard"].to_numpy()[:100]).all()
+
+    def test_lookups_leave_no_derived_state(self, tmp_path):
+        """Inference derives its tables from the weights per call: lookups
+        add nothing to the pickled structure (the Spark broadcast) or to
+        the Eq. 1 sizes."""
+        import pickle
+        df = _relation(500)
+        d = DeepMapping.build(
+            df, ["key"], ["easy", "hard", "txt"],
+            DeepMappingConfig(arch=ArchSpec((16,), {}), train=TrainConfig(epochs=2)),
+            workdir=str(tmp_path),
+        )
+
+        def size():
+            d.stats.reset()  # per-measurement counters, not structure
+            return len(pickle.dumps(d)), d.storage_breakdown()
+
+        before = size()
+        d.lookup(df["key"].to_numpy())
+        d.lookup_range(1, 500)
+        d.accuracy_on(df)
+        assert size() == before
+        # the build sweep ran inference too: the model holds no attribute a
+        # model restored from its stored bytes lacks
+        fresh = MappingModel.from_bytes(d.model.to_bytes())
+        assert vars(d.model).keys() == vars(fresh).keys()
+        assert vars(d.model.net).keys() == vars(fresh.net).keys()
+        assert vars(d.key_space) == vars(KeySpace(d.key_space.lows, d.key_space.cards))
 
 
 class _Frames:

@@ -1,4 +1,6 @@
 """Unit tests for key/value encodings (repro.core.encoding)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pickle
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.encoding import KeySpace, LabelCodec, decode_map_bytes
+from repro.core.encoding import TABLE_ROWS, KeySpace, LabelCodec, decode_map_bytes
 
 
 class TestKeySpaceSimple:
@@ -135,6 +137,36 @@ class TestKeySpaceRadices:
         for d in range(7):
             col = 5 + d
             assert (f[:, col] == (digit == d)).all()
+
+
+@pytest.mark.parametrize("ks", [
+    KeySpace((1,), (1000,)),
+    KeySpace((3,), (400_000,)),
+    KeySpace((1, 1), (500, 8)),
+    KeySpace((-5, 0, 2), (12_345, 3, 101)),
+    KeySpace((0,), (70,)).with_radices((10, 7)),
+    KeySpace((0,), (30_030,)).with_radices((7, 11, 13, 2, 3, 5)),
+], ids=["decimal", "decimal-6-digits", "composite", "composite-3", "radices", "radices-6"])
+def test_features_from_dense_equals_features_of_keys(ks):
+    """Featurizing straight from the dense index gives the one-hot matrix of
+    the key tuples, for every key of small spaces and a sample of big ones."""
+    idx = np.arange(ks.size)
+    if ks.size > 50_000:
+        idx = np.random.default_rng(0).integers(0, ks.size, 50_000)
+    f = ks.features_from_dense(idx)
+    assert f.dtype == np.float32 and f.shape == (len(idx), ks.input_dim)
+    assert (f == ks.features(ks.from_dense(idx))).all()
+    assert all(math.prod(b) <= TABLE_ROWS for b in ks.blocks)
+    assert sum(sum(b) for b in ks.blocks) == ks.input_dim
+
+
+def test_blocks_merge_digits_of_one_source():
+    """Consecutive one-hot blocks of one component (or of the radices) merge
+    while their combinations stay within TABLE_ROWS; components never merge."""
+    assert KeySpace((3,), (400_000,)).blocks == ((10, 10, 10), (10, 10, 10))
+    assert KeySpace((1, 1), (5000, 8)).blocks == ((10,), (10, 10, 10), (10,))
+    radices = KeySpace((0,), (30_030,)).with_radices((7, 11, 13, 2, 3, 5))
+    assert radices.blocks == ((7, 11), (13, 2, 3, 5))
 
 
 class TestLabelCodec:

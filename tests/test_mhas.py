@@ -154,5 +154,5 @@ class TestSearch:
         y = {c: v.astype(np.int64) for c, v in codes.items()}
         # small searched archs (possibly linear) need a higher lr to converge
         m.fit(x, y, epochs=120, batch_size=128, lr=1e-2, tol=0.0)
-        pred = m.predict(x)
+        pred = m.predict(ks.hot_positions(dense), ks.blocks)
         assert (pred["a"] == y["a"]).mean() > 0.9

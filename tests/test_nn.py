@@ -16,6 +16,11 @@ def _toy(n=600, seed=0):
     return ks, x, y
 
 
+def _hot(ks, n):
+    """Factored features of the first ``n`` keys of ``_toy``: predict's input."""
+    return ks.hot_positions(np.arange(n)), ks.blocks
+
+
 def test_softmax_rows_sum_to_one():
     p = softmax(np.random.default_rng(0).standard_normal((5, 7)))
     assert np.allclose(p.sum(axis=1), 1.0)
@@ -35,9 +40,9 @@ class TestForward:
         assert z["a"].shape == (10, 5) and z["b"].shape == (10, 3)
 
     def test_predict_dtype(self):
-        _, x, _ = _toy()
+        ks, x, _ = _toy()
         m = MultiTaskMLP(x.shape[1], ArchSpec((8,), {}), {"a": 5, "b": 3})
-        p = m.predict(x[:4])
+        p = m.predict(*_hot(ks, 4))
         assert p["a"].dtype == np.int32
 
     def test_no_shared_layers(self):
@@ -66,10 +71,10 @@ class TestTraining:
         assert losses[-1] < losses[0]
 
     def test_memorizes_digit_functions(self):
-        _, x, y = _toy()
+        ks, x, y = _toy()
         m = MultiTaskMLP(x.shape[1], ArchSpec((64,), {}), {"a": 5, "b": 3}, seed=0)
         m.fit(x, y, epochs=40, batch_size=128, tol=0.0)
-        pred = m.predict(x)
+        pred = m.predict(*_hot(ks, len(x)))
         assert (pred["a"] == y["a"]).mean() > 0.98
         assert (pred["b"] == y["b"]).mean() > 0.98
 
@@ -80,10 +85,10 @@ class TestTraining:
         assert len(losses) == 2  # stopped right after the first comparison
 
     def test_single_task(self):
-        _, x, y = _toy(300)
+        ks, x, y = _toy(300)
         m = MultiTaskMLP(x.shape[1], ArchSpec((32,), {}), {"a": 5})
         m.fit(x, {"a": y["a"]}, epochs=30, batch_size=64, tol=0.0)
-        assert (m.predict(x)["a"] == y["a"]).mean() > 0.9
+        assert (m.predict(*_hot(ks, len(x)))["a"] == y["a"]).mean() > 0.9
 
     def test_train_batch_returns_finite_loss(self):
         _, x, y = _toy(100)
@@ -103,10 +108,10 @@ class TestSizeAndSerialization:
         assert m.nbytes_resident() == m.n_params * 4
 
     def test_bytes_roundtrip(self):
-        _, x, _ = _toy(50)
+        ks, x, _ = _toy(50)
         m = MultiTaskMLP(x.shape[1], ArchSpec((8,), {"a": (4,)}), {"a": 5})
         m2 = MultiTaskMLP.from_bytes(m.to_bytes())
-        assert (m.predict(x[:7])["a"] == m2.predict(x[:7])["a"]).all()
+        assert (m.predict(*_hot(ks, 7))["a"] == m2.predict(*_hot(ks, 7))["a"]).all()
 
     def test_stored_at_least_param_bytes(self):
         m = MultiTaskMLP(10, ArchSpec((4,), {}), {"a": 3})

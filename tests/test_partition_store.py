@@ -61,6 +61,29 @@ def test_mixed_hit_miss_alignment(tmp_path, data, cls):
 
 
 @pytest.mark.parametrize("cls", STORES)
+def test_unsorted_duplicate_queries_across_partitions(tmp_path, data, cls):
+    """Values come back in query order when the query is unsorted, repeats
+    keys and spans several partitions, for a numeric, a string and an
+    object column."""
+    keys, values = data
+    values = dict(values, obj=np.array([f"s{k}" if k % 3 else int(k) for k in keys], dtype=object))
+    st = cls(str(tmp_path), partition_bytes=2048)
+    st.build(keys, values)
+    rng = np.random.default_rng(1)
+    pos = rng.integers(0, len(keys), 400)
+    q = np.concatenate([keys[pos], keys[pos[:50]], np.array([5001, 5002])])
+    order = rng.permutation(len(q))
+    q, truth = q[order], np.concatenate([pos, pos[:50], [-1, -1]])[order]
+    assert len(np.unique(st.route(q[truth >= 0]))) > 3
+    found, out = st.lookup_batch(q)
+    assert (found == (truth >= 0)).all()
+    hit = truth[truth >= 0]
+    for c, v in values.items():
+        assert out[c].dtype == v.dtype
+        assert out[c].tolist() == v[hit].tolist(), c
+
+
+@pytest.mark.parametrize("cls", STORES)
 def test_multiple_partitions_created(tmp_path, data, cls):
     keys, values = data
     st = cls(str(tmp_path), partition_bytes=2048)
