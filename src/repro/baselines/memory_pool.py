@@ -91,6 +91,11 @@ class MemoryPool:
         return self.pinned_bytes + self.cached_bytes
 
     # -- cache protocol ------------------------------------------------------
+    def __contains__(self, key: Any) -> bool:
+        """Whether ``key`` is resident; neither refreshes its LRU position
+        nor counts as a hit or miss."""
+        return key in self._cache
+
     def get(self, key: Any, loader: Callable[[], tuple[Any, int]]) -> Any:
         """Return the cached object for ``key``, loading on miss.
 

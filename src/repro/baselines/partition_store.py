@@ -9,8 +9,10 @@ Subclasses define how a partition's rows are represented
 (:meth:`_make_payload`) and how a lookup proceeds within a loaded
 partition (:meth:`_lookup_in_payload`). Keys are the *dense indices* of
 the workload's :class:`~repro.core.encoding.KeySpace`, always sorted
-within and across partitions; query batches are sorted before routing so
-each partition is decompressed at most once per batch (paper Sec. IV-B).
+within and across partitions; query batches are sorted and sliced by the
+partition bounds so each partition is decompressed at most once per batch
+(paper Sec. IV-B), and partitions already resident in the pool are
+visited before the ones that must be loaded.
 """
 from __future__ import annotations
 
@@ -132,37 +134,36 @@ class PartitionedStore:
 
         return self.pool.get((self.name, pi), loader)
 
-    def route(self, keys: np.ndarray) -> np.ndarray:
-        """Partition id per key (-1 when outside all partition ranges)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        pi = np.searchsorted(self._lo, keys, side="right") - 1
-        pi = np.clip(pi, 0, max(0, self.n_partitions - 1))
-        if self.n_partitions == 0:
-            return np.full(len(keys), -1, dtype=np.int64)
-        ok = (keys >= self._lo[pi]) & (keys <= self._hi[pi])
-        return np.where(ok, pi, -1)
-
     def lookup_batch(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Batch point lookup by dense key.
 
         Returns ``(found_mask, values)`` where each ``values[col]`` holds
         the values of the found keys, in query order, in the column's
-        build dtype. Query keys are processed in sorted order, grouped by
-        partition.
+        build dtype.
+
+        The query keys are sorted once; two binary searches of the
+        partition bounds into them give each partition its slice, so keys
+        in gaps between partitions load nothing. Partitions already in the
+        pool are visited first, then the others in ascending order: a batch
+        that touches more partitions than the pool holds thus hits every
+        resident one before its loads evict any, rather than scanning in a
+        fixed cyclic order that defeats LRU.
         """
         keys = np.asarray(keys, dtype=np.int64)
         found = np.zeros(len(keys), dtype=bool)
         order = np.argsort(keys)  # equal keys get equal answers: no need for stable
-        pids = self.route(keys[order])
-        # runs of equal partition id over the sorted keys
-        valid = np.flatnonzero(pids >= 0)
-        runs = np.split(valid, np.flatnonzero(np.diff(pids[valid])) + 1) if len(valid) else []
+        sk = keys[order]
+        start = np.searchsorted(sk, self._lo, side="left")
+        end = np.searchsorted(sk, self._hi, side="right")
+        touched = np.flatnonzero(end > start)
+        resident = np.array([(self.name, pi) in self.pool for pi in touched.tolist()], dtype=bool)
         # values scatter to their query positions; ``found`` then picks them
         full = {c: np.empty(len(keys), dtype=dt) for c, dt in self.dtypes.items()}
-        for sel in runs:
-            payload = self._load_partition(int(pids[sel[0]]))
-            mask, vals = self._lookup_in_payload(payload, keys[order[sel]])
-            hit = order[sel[mask]]
+        for pi in np.concatenate([touched[resident], touched[~resident]]).tolist():
+            s, e = start[pi], end[pi]
+            payload = self._load_partition(pi)
+            mask, vals = self._lookup_in_payload(payload, sk[s:e])
+            hit = order[s:e][mask]
             found[hit] = True
             for c in self.dtypes:
                 full[c][hit] = vals[c]

@@ -8,6 +8,11 @@ partition compressed with the configured codec, and served through the
 LRU memory pool; a lookup routes to a partition, loads/decompresses it,
 and binary-searches the key array — Algorithm 1's validation step.
 
+On disk each code column takes the narrowest of uint8/uint16/uint32 that
+holds its largest code in the generation being written, so a partition
+holds more rows and the table fits a smaller pool. The master arrays and
+lookup results stay int32.
+
 Modifications (Algorithms 3–5) *materialize into this structure*: the
 master arrays are merged with the delta and the on-disk partitions
 rewritten as a new generation directory, keeping keys sorted; the
@@ -21,7 +26,7 @@ import shutil
 
 import numpy as np
 
-from ..baselines.array_store import ArrayStore
+from ..baselines.array_store import ArrayStore, _min_int_dtype
 from ..baselines.memory_pool import MemoryPool
 
 __all__ = ["AuxTable"]
@@ -58,8 +63,9 @@ class AuxTable:
 
     def _write(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
         """Write sorted rows as the next on-disk generation, then make them
-        current. The master arrays change only once the write succeeded; the
-        superseded generation's cached partitions and files are dropped."""
+        current, each code column in its minimal width. The master arrays
+        change only once the write succeeded; the superseded generation's
+        cached partitions and files are dropped."""
         st = ArrayStore(
             self.workdir,
             codec=self.codec_name,
@@ -68,7 +74,9 @@ class AuxTable:
             name=f"aux-g{self._gen + 1}",
         )
         try:
-            st.build(keys, dict(codes))
+            st.build(keys, {
+                c: v.astype(_min_int_dtype(int(v.max(initial=0)) + 1)) for c, v in codes.items()
+            })
         except BaseException:
             shutil.rmtree(st.dir, ignore_errors=True)
             raise
@@ -87,7 +95,8 @@ class AuxTable:
         keys = np.asarray(keys, dtype=np.int64)
         if self._store is None:
             return np.zeros(len(keys), dtype=bool), {}
-        return self._store.lookup_batch(keys)
+        found, codes = self._store.lookup_batch(keys)
+        return found, {c: v.astype(np.int32, copy=False) for c, v in codes.items()}
 
     # -- modifications (driver side; Algorithms 3–5 materialize here) ---------
     def apply(

@@ -331,19 +331,8 @@ class DeepMapping:
         replaced by an extended copy: the fixed-output model can never
         predict those, so the rows land in T_aux — exactly the lazy-update
         semantics of Sec. IV-D."""
-        codecs, codes = {}, {}
-        for c in self.value_cols:
-            codec = self.codecs[c]
-            known = set(codec.classes_.tolist())
-            unseen = [v for v in pd.unique(df[c]) if v not in known]
-            if unseen:
-                # np.concatenate promotes to a common dtype (e.g. wider strings)
-                codec = LabelCodec.__new__(LabelCodec)
-                codec.__setstate__(
-                    {"classes_": np.concatenate([self.codecs[c].classes_, np.asarray(unseen)])}
-                )
-            codecs[c] = codec
-            codes[c] = codec.encode(df[c])
+        codecs = {c: self.codecs[c].extended(df[c]) for c in self.value_cols}
+        codes = {c: codecs[c].encode(df[c]) for c in self.value_cols}
         return codecs, codes, misclassified(self.model, self.key_space, dense, codes)
 
     def _set_codecs(self, codecs: dict[str, LabelCodec]) -> None:

@@ -268,6 +268,23 @@ class LabelCodec:
             raise KeyError("value not present in the fitted dictionary")
         return codes.astype(np.int32)
 
+    def extended(self, values: np.ndarray | pd.Series) -> "LabelCodec":
+        """This codec if it knows every one of ``values``; otherwise a copy
+        whose dictionary appends the unseen ones. Existing codes keep their
+        value and type: the dictionary keeps its dtype when the new values
+        are of the same kind, and becomes object dtype when they are not
+        (an int column meeting a string)."""
+        vals = np.asarray(pd.unique(pd.Series(values)))
+        unseen = vals[self._index.get_indexer(vals) < 0]
+        if not len(unseen):
+            return self
+        old = self.classes_
+        if unseen.dtype.kind != old.dtype.kind:
+            old, unseen = old.astype(object), unseen.astype(object)
+        codec = LabelCodec.__new__(LabelCodec)
+        codec.__setstate__({"classes_": np.concatenate([old, unseen])})
+        return codec
+
     def decode(self, codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(codes)
         if ((codes < 0) | (codes >= self.n_classes)).any():

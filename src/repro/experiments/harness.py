@@ -11,7 +11,9 @@ budget — the paper's two regimes:
 * *fits memory* (Table II): unbounded pool.
 
 Latency per batch is the mean of ``repeats`` timed runs (paper: 5),
-after the store answered one warm-up batch when ``warm=True``.
+after the store answered one warm-up batch when ``warm=True``. Pool
+counters are recorded per batch size over the timed runs only: they are
+reset after the warm-up.
 Lookup results are cross-checked for exactness against the source
 relation (every method must be lossless except DS, which is checked
 through its corrections — also exact for categorical data).
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -59,7 +61,7 @@ class MethodResult:
     storage_mb: float
     latency_s: dict[int, float] = field(default_factory=dict)  # batch size → sec
     breakdown: dict = field(default_factory=dict)
-    pool_stats: dict = field(default_factory=dict)
+    pool_stats: dict = field(default_factory=dict)  # batch size → timed-run PoolStats
     extra: dict = field(default_factory=dict)
 
 
@@ -217,18 +219,14 @@ def run_lookup_experiment(
         for b, keys in batches.items():
             if cfg.warm:
                 adapter.lookup(keys)
+            pool.stats.reset()
             times = []
             for _ in range(cfg.repeats):
                 t0 = time.perf_counter()
                 adapter.lookup(keys)
                 times.append(time.perf_counter() - t0)
             res.latency_s[b] = float(np.mean(times))
-        st = pool.stats
-        res.pool_stats = dict(
-            hits=st.hits, misses=st.misses, evictions=st.evictions,
-            bytes_read=st.bytes_read, io_time=st.io_time,
-            decompress_time=st.decompress_time, deserialize_time=st.deserialize_time,
-        )
+            res.pool_stats[b] = asdict(pool.stats)
         res.extra["raw_bytes"] = raw_bytes
         res.extra["compression_ratio"] = adapter.nbytes_disk / max(1, raw_bytes)
         results[method] = res

@@ -151,3 +151,46 @@ def test_row_level_stores_key_once(tmp_path):
     t1.build(keys, one)
     # 4 columns cost 3 extra int32 arrays, NOT 3 extra key arrays
     assert t4.nbytes_disk - t1.nbytes_disk < 3 * 4 * 10_000 * 1.2
+
+
+def _stored_dtypes(t: AuxTable) -> dict:
+    """Code dtypes of the current generation, as written to every partition."""
+    st = t._store
+    dts = {c: {st._load_partition(pi)["cols"][c].dtype for pi in range(st.n_partitions)}
+           for c in t.columns}
+    assert all(len(d) == 1 for d in dts.values())
+    return {c: d.pop() for c, d in dts.items()}
+
+
+def test_codes_stored_in_minimal_width(tmp_path):
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=256)
+    keys = np.arange(0, 600, 3)
+    t.build(keys, {"a": keys % 256, "b": keys % 7, "c": keys * 200})
+    assert t._store.n_partitions > 1
+    assert _stored_dtypes(t) == {"a": np.uint8, "b": np.uint8, "c": np.uint32}
+    t.apply(upsert_keys=np.array([3, 6]),
+            upsert_codes={"a": [300, 6], "b": [256, 1], "c": [0, 1200]})
+    assert _stored_dtypes(t) == {"a": np.uint16, "b": np.uint16, "c": np.uint32}
+    mask, codes = t.lookup(np.array([3, 6, 255]))
+    assert mask.all() and codes["a"].tolist() == [300, 6, 255]
+    assert codes["b"].tolist() == [256, 1, 255 % 7]
+    assert codes["c"].tolist() == [0, 1200, 51000]
+
+
+def test_narrow_partitions_are_smaller(tmp_path):
+    keys = np.arange(5000)
+    codes = {"a": (keys * 7919 % 200).astype(np.int32)}
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
+    t.build(keys, codes)
+    # 8-byte key + 1-byte code per row, against 12 bytes as int32
+    assert t._store.n_partitions == -(-5000 // (4096 // 9))
+
+
+def test_lookup_and_master_stay_int32(aux):
+    aux.apply(upsert_keys=np.array([2]), upsert_codes={"a": [20], "b": [2]})
+    mask, codes = aux.lookup(np.array([2, 5, 3]))
+    assert mask.tolist() == [True, True, False]
+    assert all(v.dtype == np.int32 for v in codes.values())
+    keys, master = aux.master()
+    assert keys.dtype == np.int64 and all(v.dtype == np.int32 for v in master.values())
+    assert master["a"].tolist() == [10, 20, 50, 90]

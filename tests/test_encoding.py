@@ -205,6 +205,32 @@ class TestLabelCodec:
         c2 = pickle.loads(pickle.dumps(c))
         assert c2.encode(["y"]).tolist() == [1]
 
+    def test_extended_returns_self_when_nothing_is_unseen(self):
+        c = LabelCodec(np.array([1, 2]))
+        assert c.extended(np.array([2, 1, 2])) is c
+
+    @pytest.mark.parametrize("old, new", [
+        (np.array([3, 1]), np.array([7, 1])),
+        (np.array([0.5, 1.5]), np.array([2.5])),
+        (np.array(["a", "b"]), np.array(["longer"])),
+        (pd.Series(["a", "b"], dtype=object), pd.Series(["c"], dtype=object)),
+    ])
+    def test_extended_keeps_dtype_of_same_kind(self, old, new):
+        c = LabelCodec(old)
+        e = c.extended(new)
+        assert e.classes_.dtype.kind == c.classes_.dtype.kind
+        assert e.classes_[: c.n_classes].tolist() == c.classes_.tolist()
+        assert e.decode(e.encode(new)).tolist() == list(new)
+
+    def test_extended_mixed_types_go_object_and_keep_types(self):
+        c = LabelCodec(np.array([1, 2, 3]))
+        e = c.extended(pd.Series(["x"]))
+        assert e.classes_.dtype == object
+        assert e.encode(np.array([1, 2, 3])).tolist() == c.encode(np.array([1, 2, 3])).tolist()
+        assert [type(v) for v in e.decode(e.encode(np.array([1, 3])))] == [int, int]
+        assert e.decode(e.encode(["x"])).tolist() == ["x"]
+        assert c.classes_.dtype.kind == "i"  # the original is untouched
+
     def test_decode_map_bytes_positive_and_monotone(self):
         small = {"a": LabelCodec(np.arange(3))}
         big = {"a": LabelCodec(np.arange(3000))}

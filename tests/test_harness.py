@@ -78,8 +78,8 @@ def test_small_pool_causes_misses(workload, tmp_path):
     cfg = ExperimentConfig(batch_sizes=(500,), pool_fraction=0.05, repeats=1,
                            verify_rows=100, dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
     res = run_lookup_experiment(wl, pdf, ["ABC-Z"], str(tmp_path), cfg)
-    assert res["ABC-Z"].pool_stats["misses"] > 0
-    assert res["ABC-Z"].pool_stats["bytes_read"] > 0
+    assert res["ABC-Z"].pool_stats[500]["misses"] > 0
+    assert res["ABC-Z"].pool_stats[500]["bytes_read"] > 0
 
 
 def test_unbounded_pool_no_misses_after_warm(workload, tmp_path):
@@ -88,10 +88,27 @@ def test_unbounded_pool_no_misses_after_warm(workload, tmp_path):
                            verify_rows=0, warm=True,
                            dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
     res = run_lookup_experiment(wl, pdf, ["ABC-Z"], str(tmp_path), cfg, verify=False)
-    stats = res["ABC-Z"].pool_stats
+    stats = res["ABC-Z"].pool_stats[500]
     assert stats["evictions"] == 0
-    # misses only from the single warm-up pass
-    assert stats["misses"] <= stats["hits"]
+    # the warm-up pass loaded every partition; its misses are not counted
+    assert stats["misses"] == 0 and stats["hits"] > 0
+
+
+def test_pool_stats_scoped_to_timed_repeats(workload, tmp_path):
+    """Per batch size, the pool counters cover the timed repeats only: each
+    repeat asks the pool once for every partition its batch touches."""
+    wl, pdf = workload
+    cfg = ExperimentConfig(batch_sizes=(100, 500), pool_fraction=0.05, repeats=3,
+                           verify_rows=100, dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
+    res = run_lookup_experiment(wl, pdf, ["AB"], str(tmp_path / "run"), cfg)
+    st = build_method("AB", wl, pdf, str(tmp_path / "ref"), cfg=cfg).obj
+    ks = wl.key_space(pdf)
+    for b in cfg.batch_sizes:
+        batch = random_key_batch(pdf, list(wl.key_cols), b, seed=cfg.seed + b)
+        touched = len(np.unique(np.searchsorted(st._lo, ks.dense_index(batch), "right")))
+        stats = res["AB"].pool_stats[b]
+        assert stats["misses"] > 0
+        assert stats["hits"] + stats["misses"] == cfg.repeats * touched
 
 
 def test_verification_catches_corruption(workload, tmp_path):

@@ -33,6 +33,17 @@ def test_budget_evicts_lru():
     assert p.stats.evictions >= 1
 
 
+def test_contains_leaves_lru_order_and_stats():
+    p = MemoryPool(20)
+    p.get("a", _loader(1, 10))
+    p.get("b", _loader(2, 10))
+    before = (p.stats.hits, p.stats.misses, p.stats.evictions)
+    assert "a" in p and "z" not in p
+    assert (p.stats.hits, p.stats.misses, p.stats.evictions) == before
+    p.get("c", _loader(3, 10))  # "a" is still least recently used
+    assert "a" not in p and "b" in p and "c" in p
+
+
 def test_budget_respected():
     p = MemoryPool(25)
     for i in range(10):

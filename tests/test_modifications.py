@@ -87,6 +87,22 @@ class TestInsert:
         out = d.lookup(np.array([7, 1]))
         assert out["v"][0] == "NEW" and out["v"][1] == "a"
 
+    def test_mixed_type_insert_keeps_existing_values_and_types(self, tmp_path):
+        """A string inserted into an int column makes ``f_decode`` object
+        dtype; existing keys still return their int, before and after a
+        retrain."""
+        df = pd.DataFrame({"key": np.arange(1, 41), "v": np.arange(1, 41) % 6})
+        d = DeepMapping.build(
+            df, ["key"], ["v"], CFG, workdir=str(tmp_path),
+            key_space=KeySpace((1,), (100,)),
+        )
+        d.insert(pd.DataFrame({"key": [50], "v": ["x"]}))
+        for _ in range(2):
+            out = d.lookup(np.append(df["key"].to_numpy(), 50))
+            assert out["v"].tolist() == df["v"].tolist() + ["x"]
+            assert all(type(v) is int for v in out["v"][:-1])
+            d.retrain()
+
     def test_old_keys_survive_insert(self, dm):
         d, df = dm
         d.insert(_relation(100, start=1001, seed=4))

@@ -74,8 +74,8 @@ def test_unsorted_duplicate_queries_across_partitions(tmp_path, data, cls):
     q = np.concatenate([keys[pos], keys[pos[:50]], np.array([5001, 5002])])
     order = rng.permutation(len(q))
     q, truth = q[order], np.concatenate([pos, pos[:50], [-1, -1]])[order]
-    assert len(np.unique(st.route(q[truth >= 0]))) > 3
     found, out = st.lookup_batch(q)
+    assert st.pool.stats.misses > 3  # the query spans several partitions
     assert (found == (truth >= 0)).all()
     hit = truth[truth >= 0]
     for c, v in values.items():
@@ -123,11 +123,18 @@ def test_empty_query(tmp_path, data):
 
 
 def test_route_out_of_bounds(tmp_path):
+    """Keys outside every partition's bounds, or in a gap between two
+    partitions, are not found and load nothing."""
     st = ArrayStore(str(tmp_path), partition_bytes=128)
-    st.build(np.arange(10, 110), {"v": np.arange(100)})
-    pids = st.route(np.array([0, 10, 109, 500]))
-    assert pids[0] == -1 and pids[3] == -1
-    assert pids[1] >= 0 and pids[2] >= 0
+    st.build(np.r_[10:58, 1000:1048], {"v": np.arange(96)})  # 8 rows per partition
+    assert ((st._hi[:-1] == 57) & (st._lo[1:] == 1000)).any()  # a gap between two
+    found, out = st.lookup_batch(np.array([0, 10, 500, 1047, 5000]))
+    assert found.tolist() == [False, True, False, True, False]
+    assert out["v"].tolist() == [0, 95]
+    st.pool.clear()
+    st.pool.stats.reset()
+    assert not st.lookup_batch(np.array([0, 58, 500, 999, 1048]))[0].any()
+    assert st.pool.stats.misses == 0
 
 
 @pytest.mark.parametrize("codec", ["z", "gzip", "lzma"])
@@ -191,6 +198,77 @@ def test_each_partition_loaded_once_per_sorted_batch(tmp_path, data):
     st.build(keys, values)
     st.lookup_batch(keys)  # unsorted input is sorted internally
     assert pool.stats.misses == st.n_partitions
+
+
+def _equal_partitions(tmp_path, cls, n):
+    """A store of ``n`` partitions of equal resident size, and that size."""
+    st = cls(str(tmp_path), partition_bytes=2048)  # 16-byte rows → 128 per partition
+    st.build(np.arange(128 * n), {"v": np.arange(128 * n)})
+    sizes = {st._payload_nbytes(st._load_partition(pi)) for pi in range(n)}
+    assert st.n_partitions == n and len(sizes) == 1
+    return st, sizes.pop()
+
+
+@pytest.mark.parametrize("cls", STORES)
+def test_resident_partitions_hit_before_loads(tmp_path, cls):
+    """With a pool of k < n partitions, a second full sorted batch hits the
+    k partitions the first one left resident before loading the rest."""
+    n, k = 10, 4
+    st, size = _equal_partitions(tmp_path, cls, n)
+    st.pool = MemoryPool(k * size)
+    keys = np.arange(128 * n)
+    st.lookup_batch(keys)
+    assert (st.pool.stats.hits, st.pool.stats.misses) == (0, n)
+    st.pool.stats.reset()
+    found, out = st.lookup_batch(keys)
+    assert found.all() and out["v"].tolist() == keys.tolist()
+    assert (st.pool.stats.hits, st.pool.stats.misses) == (k, n - k)
+
+
+@pytest.mark.parametrize("cls", STORES)
+def test_answers_identical_whatever_is_resident(tmp_path, data, cls):
+    keys, values = data
+    ref = cls(str(tmp_path), partition_bytes=2048, name="ref")
+    ref.build(keys, values)
+    st = cls(str(tmp_path), partition_bytes=2048, name="small", pool=MemoryPool(3 * 2048))
+    st.build(keys, values)
+    rng = np.random.default_rng(2)
+    q = rng.integers(-10, 5100, 700)
+    expect = ref.lookup_batch(q)
+    for warm in (None, q[q < 1000], keys, q[q > 4000]):
+        if warm is None:
+            st.pool.clear()
+        else:
+            st.lookup_batch(warm)
+        found, out = st.lookup_batch(q)
+        assert (found == expect[0]).all()
+        for c in values:
+            assert out[c].tolist() == expect[1][c].tolist(), c
+
+
+@pytest.mark.parametrize("cls", STORES)
+def test_baseline_partitions_store_values_as_given(tmp_path, cls):
+    """Only T_aux narrows its codes: AB and HB partitions read back the
+    rows exactly as written, in the values' own dtype and Python type."""
+    keys = np.arange(300)
+    values = {
+        "small": np.arange(300) % 5,
+        "obj": np.array([k if k % 2 else f"s{k}" for k in range(300)], dtype=object),
+    }
+    st = cls(str(tmp_path), partition_bytes=1024)
+    st.build(keys, values)
+    assert st.n_partitions > 1
+    rows = {}
+    for pi in range(st.n_partitions):
+        payload = st._load_partition(pi)
+        if cls is ArrayStore:
+            assert payload["cols"]["small"].dtype == values["small"].dtype
+            cols = (payload["cols"][c].tolist() for c in values)
+            rows.update(zip(payload["keys"].tolist(), zip(*cols)))
+        else:
+            rows.update(payload["map"])
+    assert rows == dict(zip(keys.tolist(), zip(*(v.tolist() for v in values.values()))))
+    assert all(type(r[0]) is int for r in rows.values())
 
 
 def test_store_pickle_roundtrip(tmp_path, data):
