@@ -19,11 +19,11 @@ SF = 0.02
 B = 1000
 
 BENCH_CFG_EXCEEDS = ExperimentConfig(
-    batch_sizes=(B,), pool_fraction=0.3, repeats=1, verify_rows=500,
+    batch_sizes=(B,), pool_fraction=0.3, repeats=1,
     dm_arch=ArchSpec((128,), {}), dm_train=TrainConfig(epochs=20, batch_size=1024),
 )
 BENCH_CFG_FITS = ExperimentConfig(
-    batch_sizes=(B,), pool_fraction=None, repeats=1, verify_rows=500,
+    batch_sizes=(B,), pool_fraction=None, repeats=1,
     dm_arch=ArchSpec((128,), {}), dm_train=TrainConfig(epochs=20, batch_size=1024),
 )
 

@@ -54,6 +54,7 @@ class PartitionedStore:
         self._hi = np.empty(0, dtype=np.int64)
         self._files: list[str] = []
         self._nbytes_disk = 0
+        self.n_rows = 0
 
     # -- subclass contract ----------------------------------------------------
     def _make_payload(self, keys: np.ndarray, values: dict[str, np.ndarray]) -> Any:
@@ -108,6 +109,7 @@ class PartitionedStore:
         self._hi = np.array(his, dtype=np.int64)
         self._files = files
         self._nbytes_disk = total
+        self.n_rows = n
 
     # -- size ---------------------------------------------------------------
     @property

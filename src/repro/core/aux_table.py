@@ -10,15 +10,14 @@ and binary-searches the key array — Algorithm 1's validation step.
 
 On disk each code column takes the narrowest of uint8/uint16/uint32 that
 holds its largest code in the generation being written, so a partition
-holds more rows and the table fits a smaller pool. The master arrays and
-lookup results stay int32.
+holds more rows and the table fits a smaller pool. Lookup results and
+:meth:`AuxTable.master` stay int32.
 
-Modifications (Algorithms 3–5) *materialize into this structure*: the
-master arrays are merged with the delta and the on-disk partitions
-rewritten as a new generation directory, keeping keys sorted; the
-previous generation is deleted once the new one is on disk. The master
-copy lives only on the build/driver side; the query path touches disk +
-pool only.
+``T_aux`` exists only as its partitions: on disk, and in the pool while
+resident. Modifications (Algorithms 3–5) read every partition back
+through the pool, merge the delta and write the rows as a new generation
+directory; the previous generation is deleted once the new one is on
+disk.
 """
 from __future__ import annotations
 
@@ -48,8 +47,6 @@ class AuxTable:
         self.partition_bytes = int(partition_bytes)
         self.pool = pool if pool is not None else MemoryPool(None)
         self.columns: list[str] = []
-        self._keys = np.empty(0, dtype=np.int64)
-        self._codes: dict[str, np.ndarray] = {}
         self._store: ArrayStore | None = None
         self._gen = 0
 
@@ -57,14 +54,14 @@ class AuxTable:
     def build(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
         """``keys`` are the dense keys of misclassified tuples; ``codes``
         holds the correct int32 code of *every* value column, aligned."""
-        keys = np.asarray(keys, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        self._write(keys[order], {c: np.asarray(v, dtype=np.int32)[order] for c, v in codes.items()})
+        codes = {c: np.asarray(v, dtype=np.int32) for c, v in codes.items()}
+        self._write(np.asarray(keys, dtype=np.int64), codes)
 
     def _write(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
-        """Write sorted rows as the next on-disk generation, then make them
-        current, each code column in its minimal width. The master arrays
-        change only once the write succeeded; the superseded generation's
+        """Write rows as the next on-disk generation, then make them
+        current, each code column in its minimal width. The current
+        generation changes only once the write succeeded (the store sorts
+        the rows and rejects duplicate keys); the superseded generation's
         cached partitions and files are dropped."""
         st = ArrayStore(
             self.workdir,
@@ -83,7 +80,7 @@ class AuxTable:
         old = self._store
         self._gen += 1
         self.columns = list(codes)
-        self._keys, self._codes, self._store = keys, codes, st
+        self._store = st
         if old is not None:
             for pi in range(old.n_partitions):
                 self.pool.invalidate((old.name, pi))
@@ -106,37 +103,34 @@ class AuxTable:
         upsert_codes: dict[str, np.ndarray] | None = None,
         remove_keys: np.ndarray | None = None,
     ) -> None:
-        """Merge row upserts and removals into the master arrays and write
-        them as a new generation."""
-        keys, codes = self._keys, self._codes
-        if remove_keys is not None and len(remove_keys):
-            keep = ~np.isin(keys, np.asarray(remove_keys, dtype=np.int64))
-            keys = keys[keep]
-            codes = {c: v[keep] for c, v in codes.items()}
-        if upsert_keys is not None and len(upsert_keys):
-            uk = np.asarray(upsert_keys, dtype=np.int64)
-            keep = ~np.isin(keys, uk)
-            keys = np.concatenate([keys[keep], uk])
+        """Read the current rows back, drop the removed and the upserted
+        keys, append the upserts and write the result as a new generation."""
+        keys, codes = self.master()
+        drop = [np.asarray(k, dtype=np.int64) for k in (remove_keys, upsert_keys) if k is not None]
+        keep = ~np.isin(keys, np.concatenate([np.empty(0, dtype=np.int64), *drop]))
+        keys, codes = keys[keep], {c: v[keep] for c, v in codes.items()}
+        if upsert_keys is not None:
+            keys = np.concatenate([keys, np.asarray(upsert_keys, dtype=np.int64)])
             codes = {
-                c: np.concatenate(
-                    [codes[c][keep], np.asarray(upsert_codes[c], dtype=np.int32)]
-                )
+                c: np.concatenate([codes[c], np.asarray(upsert_codes[c], dtype=np.int32)])
                 for c in self.columns
             }
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            codes = {c: v[order] for c, v in codes.items()}
         self._write(keys, codes)
 
     # -- size -----------------------------------------------------------------
     @property
     def n_entries(self) -> int:
         """Number of misclassified tuples resident in T_aux."""
-        return len(self._keys)
+        return self._store.n_rows if self._store is not None else 0
 
     @property
     def nbytes_disk(self) -> int:
         return self._store.nbytes_disk if self._store is not None else 0
 
     def master(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        return self._keys, dict(self._codes)
+        """Every row of the current generation, read back from its
+        partitions through the pool: (sorted int64 keys, {col: int32 codes})."""
+        if self._store is None:
+            return np.empty(0, dtype=np.int64), {}
+        keys, codes = self._store.rows()
+        return keys, {c: v.astype(np.int32) for c, v in codes.items()}

@@ -2,8 +2,11 @@
 Lookup").
 
 The hybrid structure is a read-only object once built, so it is shipped
-to executors with ``SparkContext.broadcast`` (memory pools drop their
-runtime caches on pickle; partition files live on the shared local FS).
+to executors with ``SparkContext.broadcast``. The broadcast carries the
+model, ``V_exist``, ``f_decode`` and the partition index of ``T_aux``, but
+no ``T_aux`` rows (memory pools drop their runtime caches on pickle):
+executors read ``T_aux``'s partition files from the driver's workdir, so
+this needs local mode or a filesystem shared with the executors.
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
 DataFrame — the paper's batched, parallel inference path. Each batch gets
 the structure's typed result (found-mask plus native-dtype values) and
@@ -28,7 +31,8 @@ from .deepmapping import DeepMapping
 __all__ = ["lookup_distributed"]
 
 
-def _spark_type_for(values: np.ndarray) -> T.DataType:
+def _spark_type_for(col: str, values: np.ndarray) -> T.DataType:
+    """Spark type of a value column, from its ``f_decode`` dictionary."""
     kind = np.asarray(values).dtype.kind
     if kind in "iu":
         return T.LongType()
@@ -36,6 +40,8 @@ def _spark_type_for(values: np.ndarray) -> T.DataType:
         return T.DoubleType()
     if kind == "b":
         return T.BooleanType()
+    if kind == "O" and not all(isinstance(v, str) for v in values):
+        raise TypeError(f"column {col!r} holds values of more than one type; a Spark column has one")
     return T.StringType()
 
 
@@ -56,15 +62,17 @@ def lookup_distributed(
     """Answer a DataFrame of query keys with a DataFrame of values.
 
     ``keys_df`` must contain the structure's key columns. Non-existing
-    keys yield NULL values (Algorithm 1 line 10).
+    keys yield NULL values (Algorithm 1 line 10). Raises ``TypeError``,
+    before any job runs, for a requested column whose values are not all
+    of one type (an int column that met a string).
     """
     cols = cols or dm.value_cols
-    bc = spark.sparkContext.broadcast(dm)
     key_cols = dm.key_cols
     fields = [T.StructField(k, T.LongType(), False) for k in key_cols]
     for c in cols:
-        fields.append(T.StructField(c, _spark_type_for(dm.codecs[c].classes_), True))
+        fields.append(T.StructField(c, _spark_type_for(c, dm.codecs[c].classes_), True))
     schema = T.StructType(fields)
+    bc = spark.sparkContext.broadcast(dm)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local = bc.value

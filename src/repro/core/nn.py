@@ -96,8 +96,12 @@ def _argmax_rows(z: np.ndarray) -> np.ndarray:
     """``z.argmax(axis=0)`` for logits ``z`` [classes, keys], as a few
     whole-array passes instead of numpy's per-key loop: the first class
     that holds the maximum carries the largest rank ``k-1-j``. A key with
-    no maximum (NaN logits) gets the last class, which stays in range."""
+    no maximum (NaN logits) gets the last class, which stays in range. A
+    head with no classes (trained on an empty relation) predicts -1, which
+    matches no code, so every key it serves goes to ``T_aux``."""
     k = len(z)
+    if k == 0:
+        return np.full(z.shape[1], -1)
     rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
     return (k - 1) - ((z == z.max(axis=0)) * rank).max(axis=0)
 

@@ -11,12 +11,13 @@ budget — the paper's two regimes:
 * *fits memory* (Table II): unbounded pool.
 
 Latency per batch is the mean of ``repeats`` timed runs (paper: 5),
-after the store answered one warm-up batch when ``warm=True``. Pool
-counters are recorded per batch size over the timed runs only: they are
-reset after the warm-up.
-Lookup results are cross-checked for exactness against the source
-relation (every method must be lossless except DS, which is checked
-through its corrections — also exact for categorical data).
+after the store answered one warm-up batch. Pool counters are recorded
+per batch size over the timed runs only: they are reset after the
+warm-up.
+Every row of the source relation is looked up once after the build and
+cross-checked for exactness (every method must be lossless except DS,
+which is checked through its corrections — also exact for categorical
+data).
 """
 from __future__ import annotations
 
@@ -74,12 +75,9 @@ class ExperimentConfig:
     io_bandwidth: float | None = 25e6
     partition_bytes: int = 64 * 1024
     repeats: int = 3
-    warm: bool = True
     seed: int = 0
-    verify_rows: int = 2000  # lookups cross-checked for exactness
     dm_arch: ArchSpec = ArchSpec((128,), {})
     dm_train: TrainConfig = TrainConfig()
-    dm_partition_bytes: int = 64 * 1024
 
 
 class _StoreAdapter:
@@ -155,7 +153,7 @@ def build_method(
     if kind == "deepmapping":
         dm_cfg = DeepMappingConfig(
             arch=cfg.dm_arch, train=cfg.dm_train, codec=codec,
-            partition_bytes=cfg.dm_partition_bytes,
+            partition_bytes=cfg.partition_bytes,
         )
         dm = DeepMapping.build(
             pdf, list(workload.key_cols), list(workload.value_cols), dm_cfg,
@@ -165,15 +163,14 @@ def build_method(
     raise KeyError(method)
 
 
-def _verify(adapter: _StoreAdapter, pdf: pd.DataFrame, workload: Workload, n: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pdf), size=min(n, len(pdf)), replace=False)
-    keys = pdf.iloc[idx][list(workload.key_cols)].to_numpy(np.int64)
+def _verify(adapter: _StoreAdapter, pdf: pd.DataFrame, workload: Workload) -> None:
+    """Look up every row of ``pdf`` and check each value."""
+    keys = pdf[list(workload.key_cols)].to_numpy(np.int64)
     found, vals = adapter.lookup(keys)
     if not found.all():
         raise AssertionError(f"{adapter.kind}: {int((~found).sum())} existing keys not found")
     for c in workload.value_cols:
-        expect = pdf.iloc[idx][c].to_numpy()
+        expect = pdf[c].to_numpy()
         got = vals[c]
         if not all(g == e for g, e in zip(got, expect)):
             bad = next(i for i, (g, e) in enumerate(zip(got, expect)) if g != e)
@@ -188,8 +185,6 @@ def run_lookup_experiment(
     methods: list[str],
     workdir: str,
     cfg: ExperimentConfig = ExperimentConfig(),
-    *,
-    verify: bool = True,
 ) -> dict[str, MethodResult]:
     """Build every method and measure storage + per-batch-size latency."""
     raw_bytes = uncompressed_nbytes(pdf[list(workload.key_cols) + list(workload.value_cols)])
@@ -208,17 +203,15 @@ def run_lookup_experiment(
         adapter = build_method(
             method, workload, pdf, os.path.join(workdir, method), pool=pool, cfg=cfg
         )
-        if verify:
-            _verify(adapter, pdf, workload, cfg.verify_rows, cfg.seed)
-            pool.clear()
-            pool.stats.reset()
+        _verify(adapter, pdf, workload)
+        pool.clear()
+        pool.stats.reset()
         res = MethodResult(method=method, storage_mb=adapter.nbytes_disk / 1e6)
         if adapter.kind == "deepmapping":
             res.breakdown = adapter.obj.storage_breakdown()
             res.extra["memorized_fraction"] = adapter.obj.memorized_fraction
         for b, keys in batches.items():
-            if cfg.warm:
-                adapter.lookup(keys)
+            adapter.lookup(keys)
             pool.stats.reset()
             times = []
             for _ in range(cfg.repeats):

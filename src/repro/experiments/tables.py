@@ -232,7 +232,7 @@ def run_modification_experiment(
             continue
         dm_cfg = DeepMappingConfig(
             arch=cfg.dm_arch, train=cfg.dm_train, codec="z",
-            partition_bytes=cfg.dm_partition_bytes,
+            partition_bytes=cfg.partition_bytes,
         )
         raw0 = uncompressed_nbytes(base[list(wl.key_cols) + list(wl.value_cols)])
         budget = None

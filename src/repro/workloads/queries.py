@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-__all__ = ["random_key_batch", "key_batches"]
+__all__ = ["random_key_batch"]
 
 
 def random_key_batch(
@@ -14,31 +14,10 @@ def random_key_batch(
     batch_size: int,
     *,
     seed: int = 0,
-    miss_fraction: float = 0.0,
 ) -> np.ndarray:
     """Sample ``batch_size`` keys uniformly (with replacement, as random
-    point queries do) from the relation's existing keys. ``miss_fraction``
-    of the batch is replaced with keys shifted outside the data to
-    exercise the existence check."""
+    point queries do) from the relation's existing keys."""
     rng = np.random.default_rng(seed)
     keys = pdf[list(key_cols)].to_numpy(dtype=np.int64)
     idx = rng.integers(0, len(keys), batch_size)
-    batch = keys[idx].copy()
-    n_miss = int(batch_size * miss_fraction)
-    if n_miss:
-        hi = keys[:, 0].max()
-        batch[:n_miss, 0] = hi + 1 + rng.integers(0, max(1, hi), n_miss)
-    return batch
-
-
-def key_batches(
-    pdf: pd.DataFrame,
-    key_cols: list[str],
-    batch_sizes: list[int],
-    *,
-    seed: int = 0,
-) -> dict[int, np.ndarray]:
-    return {
-        b: random_key_batch(pdf, key_cols, b, seed=seed + i)
-        for i, b in enumerate(batch_sizes)
-    }
+    return keys[idx]

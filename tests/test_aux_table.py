@@ -194,3 +194,26 @@ def test_lookup_and_master_stay_int32(aux):
     keys, master = aux.master()
     assert keys.dtype == np.int64 and all(v.dtype == np.int32 for v in master.values())
     assert master["a"].tolist() == [10, 20, 50, 90]
+
+
+def test_apply_on_bounded_pool_matches_unbounded(tmp_path):
+    """``apply`` reads every partition back through the pool; a pool smaller
+    than the table evicts during that read without changing the result."""
+    keys = np.arange(0, 3000, 2)
+    codes = {"a": (keys % 251).astype(np.int32), "b": (keys % 7).astype(np.int32)}
+    small = MemoryPool(4096)
+    masters = []
+    for name, pool in (("small", small), ("unbounded", MemoryPool(None))):
+        t = AuxTable(str(tmp_path / name), partition_bytes=1024, pool=pool)
+        t.build(keys, codes)
+        t.apply(upsert_keys=np.array([1, 4, 5000]), upsert_codes={"a": [1, 2, 3], "b": [4, 5, 6]},
+                remove_keys=np.array([0, 10, 2998]))
+        masters.append(t.master())
+    assert t._store.n_partitions > 4 and small.stats.evictions > 0
+    (k1, c1), (k2, c2) = masters
+    keep = ~np.isin(keys, [0, 4, 10, 2998])
+    want = np.sort(np.concatenate([keys[keep], [1, 4, 5000]]))
+    assert k1.tolist() == k2.tolist() == want.tolist()
+    assert c1["a"].tolist() == c2["a"].tolist()
+    assert c1["b"].tolist() == c2["b"].tolist()
+    assert c1["a"][np.searchsorted(want, [1, 4, 5000, 6])].tolist() == [1, 2, 3, 6]

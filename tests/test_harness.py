@@ -12,7 +12,7 @@ from repro.workloads.queries import random_key_batch
 
 SF = 0.003
 CFG = ExperimentConfig(
-    batch_sizes=(100, 500), pool_fraction=0.3, repeats=1, verify_rows=500,
+    batch_sizes=(100, 500), pool_fraction=0.3, repeats=1,
     dm_arch=ArchSpec((32,), {}), dm_train=TrainConfig(epochs=10, batch_size=256),
 )
 
@@ -76,7 +76,7 @@ def test_high_correlation_dm_beats_abc_storage(workload, tmp_path):
 def test_small_pool_causes_misses(workload, tmp_path):
     wl, pdf = workload
     cfg = ExperimentConfig(batch_sizes=(500,), pool_fraction=0.05, repeats=1,
-                           verify_rows=100, dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
+                           dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
     res = run_lookup_experiment(wl, pdf, ["ABC-Z"], str(tmp_path), cfg)
     assert res["ABC-Z"].pool_stats[500]["misses"] > 0
     assert res["ABC-Z"].pool_stats[500]["bytes_read"] > 0
@@ -85,9 +85,8 @@ def test_small_pool_causes_misses(workload, tmp_path):
 def test_unbounded_pool_no_misses_after_warm(workload, tmp_path):
     wl, pdf = workload
     cfg = ExperimentConfig(batch_sizes=(500,), pool_fraction=None, repeats=2,
-                           verify_rows=0, warm=True,
                            dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
-    res = run_lookup_experiment(wl, pdf, ["ABC-Z"], str(tmp_path), cfg, verify=False)
+    res = run_lookup_experiment(wl, pdf, ["ABC-Z"], str(tmp_path), cfg)
     stats = res["ABC-Z"].pool_stats[500]
     assert stats["evictions"] == 0
     # the warm-up pass loaded every partition; its misses are not counted
@@ -99,7 +98,7 @@ def test_pool_stats_scoped_to_timed_repeats(workload, tmp_path):
     repeat asks the pool once for every partition its batch touches."""
     wl, pdf = workload
     cfg = ExperimentConfig(batch_sizes=(100, 500), pool_fraction=0.05, repeats=3,
-                           verify_rows=100, dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
+                           dm_arch=CFG.dm_arch, dm_train=CFG.dm_train)
     res = run_lookup_experiment(wl, pdf, ["AB"], str(tmp_path / "run"), cfg)
     st = build_method("AB", wl, pdf, str(tmp_path / "ref"), cfg=cfg).obj
     ks = wl.key_space(pdf)
@@ -118,7 +117,7 @@ def test_verification_catches_corruption(workload, tmp_path):
     bad["v0"] = bad["v0"] + 1
     from repro.experiments.harness import _verify
     with pytest.raises(AssertionError):
-        _verify(adapter, bad, wl, 200, 0)
+        _verify(adapter, bad, wl)
 
 
 def test_methods_registry_complete():

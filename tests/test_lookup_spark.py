@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig
+from repro.core.encoding import KeySpace
 from repro.core.lookup_spark import lookup_distributed
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
@@ -84,3 +85,20 @@ class TestLookupDistributed:
         keys_df = spark.createDataFrame(pd.DataFrame({"key": [2, 3]}))
         out = lookup_distributed(spark, dm, keys_df, cols=["txt"]).toPandas()
         assert set(out.columns) == {"key", "txt"}
+
+
+def test_mixed_type_column_rejected_before_any_job(spark, tmp_path):
+    """An int column that met a string has no one Spark type: the call
+    itself raises, naming the column, while a local lookup still returns
+    each value with its own type."""
+    pdf = pd.DataFrame({"key": [1, 2, 3], "v": [1, 2, 1], "txt": ["a", "b", "a"]})
+    dm = DeepMapping.build(
+        pdf, ["key"], ["v", "txt"], CFG, workdir=str(tmp_path), key_space=KeySpace((1,), (10,)),
+    )
+    dm.insert(pd.DataFrame({"key": [4], "v": ["x"], "txt": ["c"]}))
+    keys_df = spark.createDataFrame(pd.DataFrame({"key": [1, 4]}))
+    with pytest.raises(TypeError, match="'v'"):
+        lookup_distributed(spark, dm, keys_df)
+    out = lookup_distributed(spark, dm, keys_df, cols=["txt"]).toPandas().sort_values("key")
+    assert out["txt"].tolist() == ["a", "c"]
+    assert dm.lookup(np.array([1, 4]))["v"].tolist() == [1, "x"]

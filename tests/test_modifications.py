@@ -1,11 +1,18 @@
 """Tests for Algorithms 3–5: insert / delete / update + retrain trigger."""
 import os
+import pickle
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro.core.deepmapping import DeepMapping, DeepMappingConfig, predict_codes
+from repro.baselines.memory_pool import MemoryPool
+from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
 from repro.core.encoding import KeySpace
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
@@ -308,3 +315,233 @@ def test_one_aux_generation_on_disk(dm):
     assert sum(os.path.getsize(os.path.join(gen, f)) for f in os.listdir(gen)) == d.aux.nbytes_disk
     out = d.lookup(new["key"].to_numpy())
     assert (out["hard"].to_numpy() == new["hard"].to_numpy()).all()
+
+
+def test_pickle_carries_no_aux_rows(dm):
+    """``T_aux``'s rows live only in its partitions, so the pickled
+    structure (the Spark broadcast) does not grow with ``T_aux``."""
+    d, _ = dm
+    before = len(pickle.dumps(d))
+    n = d.aux.n_entries
+    d.aux.apply(
+        upsert_keys=np.arange(10_000, 20_000),
+        upsert_codes={c: np.zeros(10_000, dtype=np.int32) for c in d.value_cols},
+    )
+    assert d.aux.n_entries == n + 10_000
+    assert len(pickle.dumps(d)) - before < 1024
+
+
+def test_pool_clear_and_pickle_round_trip_keep_content(dm):
+    """A cold pool and a pickled copy over the same workdir read the same
+    ``T_aux`` back, and the copy stays modifiable and lossless."""
+    d, df = dm
+    keys = np.arange(1, 1011)
+
+    def state(x):
+        k, codes = x.aux.master()
+        out = x.lookup(keys)
+        return (k.tolist(), {c: v.tolist() for c, v in codes.items()}, x.aux.n_entries,
+                {c: out[c].tolist() for c in x.value_cols})
+
+    before = state(d)
+    d.pool.clear()
+    assert state(d) == before
+    copy = pickle.loads(pickle.dumps(d))
+    assert state(copy) == before
+
+    new = _relation(30, start=1001, seed=12)
+    copy.insert(new)
+    copy.update(pd.DataFrame({"key": [3], "easy": [6], "hard": [4]}))
+    copy.delete(np.array([5, 6]))
+    want = pd.concat([df, new]).set_index("key").drop(index=[5, 6])
+    want.loc[3, ["easy", "hard"]] = [6, 4]
+    out = copy.lookup(want.index.to_numpy())
+    for c in ("easy", "hard"):
+        assert out[c].tolist() == want[c].tolist()
+    assert copy.lookup(np.array([5, 6]))["easy"].tolist() == [None, None]
+
+
+# ------------------------------------------------------------------ state machine
+VALUE_COLS = ["vi", "vs", "vm"]  # an int, a str and a mixed int/str column
+SM_CFG = DeepMappingConfig(
+    arch=ArchSpec((16,), {}), train=TrainConfig(epochs=2, batch_size=8, lr=0.05),
+    codec="z", partition_bytes=128,  # a dozen rows per T_aux partition
+)
+# each column favours one value, so the model answers some rows and T_aux
+# the others
+_ROW = st.tuples(
+    st.sampled_from([0, 0, 0, 1, 2, 5]), st.sampled_from(["a", "a", "a", "b", "c"]),
+    st.sampled_from([0, 0, 0, 3, "x", "y"]),
+)
+
+
+class _ModificationMachine(RuleBasedStateMachine):
+    """Random insert/update/delete/retrain/lookup/lookup_range sequences,
+    pickle round trips and rejected modifications, against a dict oracle
+    of key tuple → (vi, vs, vm) Python values."""
+
+    KEY_COLS: list[str]
+    KS: KeySpace
+    OUT_OF_DOMAIN: list[tuple[int, ...]]
+    POOL_BUDGET: int | None
+
+    def __init__(self):
+        super().__init__()
+        self.workdir = tempfile.mkdtemp(prefix="dm-machine-")
+        self.domain = [tuple(k) for k in self.KS.from_dense(np.arange(self.KS.size)).tolist()]
+        self.oracle: dict[tuple[int, ...], tuple] = {}
+
+    def teardown(self):
+        shutil.rmtree(self.workdir, ignore_errors=True)
+
+    def _frame(self, rows: list[tuple[tuple[int, ...], tuple]], cols=VALUE_COLS) -> pd.DataFrame:
+        data = {kc: [k[i] for k, _ in rows] for i, kc in enumerate(self.KEY_COLS)}
+        for j, c in enumerate(VALUE_COLS):
+            if c in cols:
+                data[c] = [v[j] for _, v in rows]
+        return pd.DataFrame(data)
+
+    def _draw_keys(self, data, live: bool) -> list[tuple[int, ...]]:
+        pool = sorted(self.oracle) if live else [k for k in self.domain if k not in self.oracle]
+        return data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+
+    def _snapshot(self):
+        keys, codes = self.dm.aux.master()
+        return (
+            keys.tolist(), {c: v.tolist() for c, v in codes.items()},
+            self.dm.vexist.set_indices().tolist(),
+            {c: self.dm.codecs[c].classes_.tolist() for c in VALUE_COLS},
+        )
+
+    def _check_lookup(self, keys: list[tuple[int, ...]], out: pd.DataFrame) -> None:
+        assert out[self.KEY_COLS].to_numpy().tolist() == [list(k) for k in keys]
+        for i, k in enumerate(keys):
+            want = self.oracle.get(k)
+            for j, c in enumerate(VALUE_COLS):
+                got = out[c].iloc[i]
+                if want is None:
+                    assert got is None, (k, c, got)
+                else:
+                    assert got == want[j] and type(got) is type(want[j]), (k, c, got, want[j])
+
+    @initialize(data=st.data())
+    def build(self, data):
+        keys = data.draw(st.lists(st.sampled_from(self.domain), max_size=24, unique=True))
+        self.oracle = {k: data.draw(_ROW) for k in keys}
+        self.dm = DeepMapping.build(
+            self._frame(list(self.oracle.items())), self.KEY_COLS, VALUE_COLS, SM_CFG,
+            workdir=self.workdir, key_space=self.KS, pool=MemoryPool(self.POOL_BUDGET),
+        )
+
+    @precondition(lambda self: len(self.oracle) < len(self.domain))
+    @rule(data=st.data())
+    def insert(self, data):
+        rows = [(k, data.draw(_ROW)) for k in self._draw_keys(data, live=False)]
+        self.dm.insert(self._frame(rows))
+        self.oracle.update(rows)
+
+    @precondition(lambda self: self.oracle)
+    @rule(data=st.data())
+    def update(self, data):
+        rows = [(k, data.draw(_ROW)) for k in self._draw_keys(data, live=True)]
+        self.dm.update(self._frame(rows))
+        self.oracle.update(rows)
+
+    @rule(data=st.data())
+    def delete(self, data):
+        """Live and absent keys; deleting an absent key changes nothing."""
+        keys = data.draw(st.lists(st.sampled_from(self.domain), min_size=1, max_size=8, unique=True))
+        self.dm.delete(np.array(keys))
+        for k in keys:
+            self.oracle.pop(k, None)
+
+    @rule()
+    def retrain(self):
+        self.dm.retrain()
+
+    @rule(data=st.data())
+    def lookup(self, data):
+        candidates = st.sampled_from(self.domain + self.OUT_OF_DOMAIN)
+        keys = data.draw(st.lists(candidates, min_size=1, max_size=12))
+        self._check_lookup(keys, self.dm.lookup(np.array(keys)))
+
+    @rule(lo=st.integers(-2, 70), width=st.integers(0, 30))
+    def lookup_range(self, lo, width):
+        out = self.dm.lookup_range(lo, lo + width)
+        want = [k for k in self.domain[max(0, lo):max(0, lo + width)] if k in self.oracle]
+        self._check_lookup(want, out)
+
+    @rule()
+    def pickle_round_trip(self):
+        self.dm = pickle.loads(pickle.dumps(self.dm))
+
+    @rule()
+    def clear_pool(self):
+        self.dm.pool.clear()
+
+    @rule(
+        kind=st.sampled_from(["dup_insert", "missing_col", "insert_live", "update_absent", "dup_update"]),
+        data=st.data(),
+    )
+    def rejected(self, kind, data):
+        """Values 100 and "z" are unseen categories, so a commit would show in
+        ``f_decode`` and in T_aux."""
+        live = kind in ("insert_live", "dup_update")
+        pool = sorted(self.oracle) if live else [k for k in self.domain if k not in self.oracle]
+        assume(pool)
+        k = data.draw(st.sampled_from(pool))
+        new = (100, "z", "z")
+        before = self._snapshot()
+        with pytest.raises((KeyError, ValueError)):
+            if kind == "dup_insert":
+                self.dm.insert(self._frame([(k, new), (k, new)]))
+            elif kind == "missing_col":
+                self.dm.insert(self._frame([(k, new)], cols=["vi", "vs"]))
+            elif kind == "insert_live":
+                self.dm.insert(self._frame([(k, new)]))
+            elif kind == "update_absent":
+                self.dm.update(self._frame([(k, new)]))
+            else:
+                self.dm.update(self._frame([(k, new), (k, new)]))
+        assert self._snapshot() == before
+
+    @invariant()
+    def lossless(self):
+        keys = self.domain + self.OUT_OF_DOMAIN
+        self._check_lookup(keys, self.dm.lookup(np.array(keys)))
+
+    @invariant()
+    def aux_holds_exactly_the_misses(self):
+        aux_keys, _ = self.dm.aux.master()
+        want = set()
+        if self.oracle:
+            ks, vals = zip(*self.oracle.items())
+            dense = self.KS.dense_index(np.array(ks))
+            codes = {c: self.dm.codecs[c].encode([v[j] for v in vals]) for j, c in enumerate(VALUE_COLS)}
+            want = set(dense[misclassified(self.dm.model, self.KS, dense, codes)].tolist())
+        assert aux_keys.tolist() == sorted(want)
+        assert self.dm.aux.n_entries == len(want)
+
+
+class SimpleKeyMachine(_ModificationMachine):
+    KEY_COLS = ["key"]
+    KS = KeySpace((1,), (40,))
+    OUT_OF_DOMAIN = [(0,), (41,), (-3,), (1000,)]
+    POOL_BUDGET = None
+
+
+class CompositeKeyMachine(_ModificationMachine):
+    KEY_COLS = ["k1", "k2"]
+    KS = KeySpace((1, 1), (5, 8))
+    OUT_OF_DOMAIN = [(0, 1), (6, 1), (1, 9), (-1, -1)]
+    POOL_BUDGET = 1024  # below the pinned structure: every T_aux load is evicted at once
+
+
+_SM_SETTINGS = settings(
+    max_examples=40, stateful_step_count=20, deadline=None, database=None,
+    derandomize=True, suppress_health_check=[HealthCheck.too_slow],
+)
+TestSimpleKeyMachine = SimpleKeyMachine.TestCase
+TestSimpleKeyMachine.settings = _SM_SETTINGS
+TestCompositeKeyMachine = CompositeKeyMachine.TestCase
+TestCompositeKeyMachine.settings = _SM_SETTINGS

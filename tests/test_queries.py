@@ -2,7 +2,7 @@
 import numpy as np
 import pandas as pd
 
-from repro.workloads.queries import key_batches, random_key_batch
+from repro.workloads.queries import random_key_batch
 
 PDF = pd.DataFrame({"k1": np.arange(1, 101), "k2": np.arange(1, 101) % 7 + 1})
 
@@ -23,19 +23,8 @@ def test_composite_keys_sampled_rowwise():
     assert all(tuple(r) in valid for r in b)
 
 
-def test_miss_fraction_produces_misses():
-    b = random_key_batch(PDF, ["k1"], 100, seed=3, miss_fraction=0.2)
-    misses = ~np.isin(b[:, 0], PDF["k1"])
-    assert misses.sum() == 20
-
-
 def test_deterministic_seed():
     a = random_key_batch(PDF, ["k1"], 10, seed=9)
     b = random_key_batch(PDF, ["k1"], 10, seed=9)
     assert (a == b).all()
 
-
-def test_key_batches_shapes():
-    out = key_batches(PDF, ["k1"], [5, 10], seed=0)
-    assert set(out) == {5, 10}
-    assert out[5].shape == (5, 1) and out[10].shape == (10, 1)

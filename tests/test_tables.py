@@ -9,11 +9,11 @@ from repro.experiments.tables import (
 )
 
 FAST = ExperimentConfig(
-    batch_sizes=(200,), pool_fraction=0.3, repeats=1, verify_rows=200,
+    batch_sizes=(200,), pool_fraction=0.3, repeats=1,
     dm_arch=ArchSpec((32,), {}), dm_train=TrainConfig(epochs=10, batch_size=256),
 )
 FAST_FIT = ExperimentConfig(
-    batch_sizes=(200,), pool_fraction=None, repeats=1, verify_rows=200,
+    batch_sizes=(200,), pool_fraction=None, repeats=1,
     dm_arch=ArchSpec((32,), {}), dm_train=TrainConfig(epochs=10, batch_size=256),
 )
 METHODS = ["AB", "ABC-Z", "DM-Z"]
@@ -81,7 +81,7 @@ class TestModificationTables:
     @pytest.fixture(scope="class")
     def cfg(self):
         return ExperimentConfig(
-            batch_sizes=(self.B,), pool_fraction=0.3, repeats=1, verify_rows=0,
+            batch_sizes=(self.B,), pool_fraction=0.3, repeats=1,
             dm_arch=ArchSpec((32,), {}), dm_train=TrainConfig(epochs=12, batch_size=256),
         )
 
