@@ -28,14 +28,6 @@ def _min_int_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
-def _values(col: Any) -> np.ndarray:
-    """A payload column's values; ABC-D columns are decoded."""
-    if isinstance(col, tuple):
-        _, cats, codes = col
-        return cats[codes]
-    return col
-
-
 class ArrayStore(PartitionedStore):
     """AB (codec='none'), ABC-G/Z/L (byte codecs), ABC-D (codec='dict')."""
 
@@ -57,16 +49,6 @@ class ArrayStore(PartitionedStore):
             else:
                 n += v.nbytes if v.dtype != object else 24 * len(v)
         return n
-
-    def rows(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Every row in key order, each partition read through the pool:
-        (keys, {col: values in the column's build dtype})."""
-        parts = [self._load_partition(pi) for pi in range(self.n_partitions)]
-        keys = np.concatenate([np.empty(0, dtype=np.int64)] + [p["keys"] for p in parts])
-        return keys, {
-            c: np.concatenate([np.empty(0, dtype=dt)] + [_values(p["cols"][c]) for p in parts])
-            for c, dt in self.dtypes.items()
-        }
 
     def _lookup_in_payload(self, payload, keys):
         pk = payload["keys"]

@@ -33,6 +33,8 @@ __all__ = ["PartitionedStore"]
 class PartitionedStore:
     """Base class: sorted dense keys + per-column value arrays, partitioned."""
 
+    key_nbytes = 8  # bytes a partition spends per row on its key
+
     def __init__(
         self,
         workdir: str,
@@ -86,7 +88,7 @@ class PartitionedStore:
         values = {c: np.asarray(v)[order] for c, v in values.items()}
         self.dtypes = {c: v.dtype for c, v in values.items()}
 
-        row_bytes = 8 + sum(
+        row_bytes = self.key_nbytes + sum(
             v.dtype.itemsize if v.dtype != object else 24 for v in values.values()
         )
         rows_per_part = max(1, self.partition_bytes // max(1, row_bytes))

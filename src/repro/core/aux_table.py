@@ -3,32 +3,76 @@
 Row-level, as in Algorithm 1 (``R[i] = T_aux[Q[i]]`` returns the row's
 *values*): a key whose tuple is misclassified on any value column is
 stored once, with the correct integer codes of **all** its value
-columns. The store is sorted by dense key, range-partitioned, each
-partition compressed with the configured codec, and served through the
-LRU memory pool; a lookup routes to a partition, loads/decompresses it,
-and binary-searches the key array — Algorithm 1's validation step.
+columns.
+
+The table is keyless. Its keys are a subset of ``V_exist``'s, so they are
+held as a second bit vector, ``V_aux``, with one bit per dense key up to
+the largest stored key: row *i* of the table is the *i*-th set bit of
+``V_aux``. The partitions hold only the code columns, range-partitioned by
+row number, each compressed with the configured codec and served through
+the LRU memory pool. A lookup is a bounds check and a bit test against the
+pinned ``V_aux``, so a key that ``T_aux`` does not hold loads nothing; a
+member's row is ``V_aux.rank(key)``, which routes it to a partition and
+indexes that partition's codes directly. The rank query takes the place
+of the paper's binary search of a partition's key array (Algorithm 1's
+validation step).
 
 On disk each code column takes the narrowest of uint8/uint16/uint32 that
 holds its largest code in the generation being written, so a partition
 holds more rows and the table fits a smaller pool. Lookup results and
 :meth:`AuxTable.master` stay int32.
 
-``T_aux`` exists only as its partitions: on disk, and in the pool while
-resident. Modifications (Algorithms 3–5) read every partition back
+``V_aux`` is written into the generation's directory, compressed with the
+table's codec, and counts in :attr:`AuxTable.nbytes_disk` (Eq. 1). In
+memory it is pinned in the pool together with its rank directory. It is
+not pickled: an unpickled table reads it back from the generation's file,
+as it reads the partitions.
+
+``T_aux`` exists only as ``V_aux`` and the partitions: on disk, and in the
+pool while resident. Modifications (Algorithms 3–5) read every row back
 through the pool, merge the delta and write the rows as a new generation
-directory; the previous generation is deleted once the new one is on
-disk.
+directory; the previous generation is deleted once the new one is on disk.
 """
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
 
-from ..baselines.array_store import ArrayStore, _min_int_dtype
+from ..baselines.array_store import _min_int_dtype
 from ..baselines.memory_pool import MemoryPool
+from ..baselines.partition_store import PartitionedStore
+from .bitvector import BitVector
 
 __all__ = ["AuxTable"]
+
+_VAUX_FILE = "vaux.bin"
+
+
+class _CodeStore(PartitionedStore):
+    """``T_aux``'s partitions: the code columns only, keyed by row number.
+    A partition records its first row; a row's codes sit at its offset."""
+
+    key_nbytes = 0
+
+    def _make_payload(self, rows: np.ndarray, values: dict[str, np.ndarray]) -> dict:
+        return {"start": int(rows[0]), "cols": values}
+
+    def _payload_nbytes(self, payload: dict) -> int:
+        return sum(v.nbytes for v in payload["cols"].values())
+
+    def _lookup_in_payload(self, payload, rows):
+        pos = rows - payload["start"]
+        return np.ones(len(rows), dtype=bool), {c: v[pos] for c, v in payload["cols"].items()}
+
+    def codes(self) -> dict[str, np.ndarray]:
+        """Every row's codes in row order, each partition read through the pool."""
+        parts = [self._load_partition(pi)["cols"] for pi in range(self.n_partitions)]
+        return {
+            c: np.concatenate([np.empty(0, dtype=dt)] + [p[c] for p in parts])
+            for c, dt in self.dtypes.items()
+        }
 
 
 class AuxTable:
@@ -47,7 +91,9 @@ class AuxTable:
         self.partition_bytes = int(partition_bytes)
         self.pool = pool if pool is not None else MemoryPool(None)
         self.columns: list[str] = []
-        self._store: ArrayStore | None = None
+        self._store: _CodeStore | None = None
+        self._vaux: BitVector | None = None
+        self._vaux_nbytes = 0  # V_aux's file size; 0 when the table is empty
         self._gen = 0
 
     # -- construction ---------------------------------------------------------
@@ -59,11 +105,18 @@ class AuxTable:
 
     def _write(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
         """Write rows as the next on-disk generation, then make them
-        current, each code column in its minimal width. The current
-        generation changes only once the write succeeded (the store sorts
-        the rows and rejects duplicate keys); the superseded generation's
+        current: ``V_aux`` over their keys, and each code column in its
+        minimal width, in key order. Rows are sorted and duplicate keys
+        rejected before anything is written; the current generation changes
+        only once the write succeeded, and the superseded generation's
         cached partitions and files are dropped."""
-        st = ArrayStore(
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if len(keys) > 1 and (np.diff(keys) == 0).any():
+            raise ValueError("duplicate dense keys in T_aux")
+        vaux = BitVector(int(keys[-1]) + 1 if len(keys) else 0)
+        vaux.set(keys)
+        st = _CodeStore(
             self.workdir,
             codec=self.codec_name,
             partition_bytes=self.partition_bytes,
@@ -71,16 +124,22 @@ class AuxTable:
             name=f"aux-g{self._gen + 1}",
         )
         try:
-            st.build(keys, {
-                c: v.astype(_min_int_dtype(int(v.max(initial=0)) + 1)) for c, v in codes.items()
+            blob = st.codec.compress(vaux.raw_bytes()) if len(keys) else b""
+            st.build(np.arange(len(keys)), {
+                c: v[order].astype(_min_int_dtype(int(v.max(initial=0)) + 1))
+                for c, v in codes.items()
             })
+            if blob:
+                with open(os.path.join(st.dir, _VAUX_FILE), "wb") as f:
+                    f.write(blob)
         except BaseException:
             shutil.rmtree(st.dir, ignore_errors=True)
             raise
         old = self._store
         self._gen += 1
         self.columns = list(codes)
-        self._store = st
+        self._store, self._vaux, self._vaux_nbytes = st, vaux, len(blob)
+        self.pool.pin("aux:vaux", vaux.nbytes_resident() + vaux.rank_directory().nbytes)
         if old is not None:
             for pi in range(old.n_partitions):
                 self.pool.invalidate((old.name, pi))
@@ -90,9 +149,12 @@ class AuxTable:
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """(found_mask, {col: int32 codes for found keys, in query order})."""
         keys = np.asarray(keys, dtype=np.int64)
+        found = np.zeros(len(keys), dtype=bool)
         if self._store is None:
-            return np.zeros(len(keys), dtype=bool), {}
-        found, codes = self._store.lookup_batch(keys)
+            return found, {}
+        inside = np.flatnonzero((keys >= 0) & (keys < self._vaux.size))
+        found[inside[self._vaux.get(keys[inside])]] = True
+        _, codes = self._store.lookup_batch(self._vaux.rank(keys[found]))
         return found, {c: v.astype(np.int32, copy=False) for c, v in codes.items()}
 
     # -- modifications (driver side; Algorithms 3–5 materialize here) ---------
@@ -125,12 +187,33 @@ class AuxTable:
 
     @property
     def nbytes_disk(self) -> int:
-        return self._store.nbytes_disk if self._store is not None else 0
+        """Partitions plus the ``V_aux`` file."""
+        return self._store.nbytes_disk + self._vaux_nbytes if self._store is not None else 0
 
     def master(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Every row of the current generation, read back from its
-        partitions through the pool: (sorted int64 keys, {col: int32 codes})."""
+        """Every row of the current generation, read back from ``V_aux``
+        and from the partitions through the pool: (sorted int64 keys,
+        {col: int32 codes})."""
         if self._store is None:
             return np.empty(0, dtype=np.int64), {}
-        keys, codes = self._store.rows()
-        return keys, {c: v.astype(np.int32) for c, v in codes.items()}
+        return self._vaux.set_indices(), {
+            c: v.astype(np.int32) for c, v in self._store.codes().items()
+        }
+
+    # -- pickling ---------------------------------------------------------------
+    def __getstate__(self):
+        state = {k: v for k, v in self.__dict__.items() if k != "_vaux"}
+        state["vaux_size"] = None if self._vaux is None else self._vaux.size
+        return state
+
+    def __setstate__(self, state):
+        size = state.pop("vaux_size")
+        self.__dict__.update(state)
+        self._vaux = None if size is None else self._read_vaux(size)
+
+    def _read_vaux(self, size: int) -> BitVector:
+        """The current generation's ``V_aux``, read back from its file."""
+        if size == 0:  # an empty table writes no file
+            return BitVector(0)
+        with open(os.path.join(self._store.dir, _VAUX_FILE), "rb") as f:
+            return BitVector.from_raw(self._store.codec.decompress(f.read()), size)

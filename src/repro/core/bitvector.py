@@ -5,6 +5,13 @@ dense index i exists. Backed by ``numpy.packbits`` (the paper uses the
 ``bitarray`` C library, which is not installed here — same semantics).
 At-rest size is measured zlib-compressed, matching the paper's note that
 ``V_exist`` is (de)compressed ("randomness in decompressing V_exist").
+
+:meth:`BitVector.rank` counts the set bits below an index in O(1): a
+directory holds one int32 cumulative count per 64-bit word (Jacobson,
+*Space-efficient static trees and graphs*, FOCS 1989), and the bits of
+the index's own word are counted broadword (Vigna, *Broadword
+implementation of rank/select queries*, WEA 2008). ``T_aux`` maps a key to
+its row this way.
 """
 from __future__ import annotations
 
@@ -14,6 +21,20 @@ import numpy as np
 
 __all__ = ["BitVector"]
 
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount64(w: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, SWAR (numpy 1.26 has no
+    ``bitwise_count``); the multiply wraps mod 2**64 by design."""
+    w = w - ((w >> np.uint64(1)) & _M1)
+    w = (w & _M2) + ((w >> np.uint64(2)) & _M2)
+    w = (w + (w >> np.uint64(4))) & _M4
+    return ((w * _H01) >> np.uint64(56)).astype(np.int64)
+
 
 class BitVector:
     """Fixed-size dense bit vector with vectorized batch get/set."""
@@ -22,7 +43,9 @@ class BitVector:
         if size < 0:
             raise ValueError("size must be non-negative")
         self.size = int(size)
-        self._bits = np.zeros((self.size + 7) // 8, dtype=np.uint8)
+        # whole 64-bit words, so rank can view them; bits past size stay 0
+        self._bits = np.zeros(-(-self.size // 64) * 8, dtype=np.uint8)
+        self._rank_dir: np.ndarray | None = None
 
     # -- element access -------------------------------------------------
     def _validate(self, idx: np.ndarray) -> np.ndarray:
@@ -34,6 +57,7 @@ class BitVector:
     def set(self, idx: np.ndarray, value: bool = True) -> None:
         idx = self._validate(idx)
         byte, bit = idx >> 3, 7 - (idx & 7)
+        self._rank_dir = None
         if value:
             np.bitwise_or.at(self._bits, byte, (1 << bit).astype(np.uint8))
         else:
@@ -46,6 +70,23 @@ class BitVector:
 
     def __getitem__(self, i: int) -> bool:
         return bool(self.get(np.array([i]))[0])
+
+    def rank_directory(self) -> np.ndarray:
+        """Set bits before each 64-bit word, int32; built on first use and
+        rebuilt after a :meth:`set`."""
+        if self._rank_dir is None:
+            counts = _popcount64(self._bits.view(">u8"))
+            self._rank_dir = (np.cumsum(counts) - counts).astype(np.int32)
+        return self._rank_dir
+
+    def rank(self, idx: np.ndarray) -> np.ndarray:
+        """Number of set bits below each index, int64."""
+        idx = self._validate(idx)
+        word = idx >> 6
+        # bit i is the (i & 63)-th most significant bit of its big-endian
+        # word; two shifts keep the bits above it without a 64-bit shift
+        above = (self._bits.view(">u8")[word] >> np.uint64(1)) >> (63 - (idx & 63)).astype(np.uint64)
+        return self.rank_directory()[word] + _popcount64(above)
 
     # -- bulk operations -------------------------------------------------
     def count(self) -> int:
@@ -70,15 +111,23 @@ class BitVector:
 
     # -- serialization / size ---------------------------------------------
     def to_bytes(self) -> bytes:
-        return zlib.compress(self._bits.tobytes(), 6)
+        return zlib.compress(self.raw_bytes(), 6)
+
+    def raw_bytes(self) -> bytes:
+        """The packed bits, uncompressed: one byte per 8 positions."""
+        return self._bits[: (self.size + 7) // 8].tobytes()
 
     @staticmethod
     def from_bytes(data: bytes, size: int) -> "BitVector":
+        return BitVector.from_raw(zlib.decompress(data), size)
+
+    @staticmethod
+    def from_raw(raw: bytes, size: int) -> "BitVector":
+        """Inverse of :meth:`raw_bytes`."""
         bv = BitVector(size)
-        raw = np.frombuffer(zlib.decompress(data), dtype=np.uint8)
-        if len(raw) != len(bv._bits):
+        if len(raw) != (size + 7) // 8:
             raise ValueError("payload length does not match bit vector size")
-        bv._bits = raw.copy()
+        bv._bits[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
         return bv
 
     def nbytes_stored(self) -> int:

@@ -4,9 +4,11 @@ Lookup").
 The hybrid structure is a read-only object once built, so it is shipped
 to executors with ``SparkContext.broadcast``. The broadcast carries the
 model, ``V_exist``, ``f_decode`` and the partition index of ``T_aux``, but
-no ``T_aux`` rows (memory pools drop their runtime caches on pickle):
-executors read ``T_aux``'s partition files from the driver's workdir, so
-this needs local mode or a filesystem shared with the executors.
+neither ``T_aux``'s rows nor its key bit vector ``V_aux`` (memory pools
+drop their runtime caches on pickle, and ``V_aux`` is not pickled):
+executors read both ``V_aux`` and ``T_aux``'s partition files from the
+driver's workdir, so this needs local mode or a filesystem shared with the
+executors.
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
 DataFrame — the paper's batched, parallel inference path. Each batch gets
 the structure's typed result (found-mask plus native-dtype values) and
@@ -41,6 +43,10 @@ def _spark_type_for(col: str, values: np.ndarray) -> T.DataType:
     if kind == "b":
         return T.BooleanType()
     if kind == "O" and not all(isinstance(v, str) for v in values):
+        # an int column whose dictionary became object dtype (it met a
+        # string that was deleted before a retrain) still holds one type
+        if all(type(v) is int and -(1 << 63) <= v < 1 << 63 for v in values):
+            return T.LongType()
         raise TypeError(f"column {col!r} holds values of more than one type; a Spark column has one")
     return T.StringType()
 

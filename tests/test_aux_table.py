@@ -1,4 +1,7 @@
 """Tests for the row-level auxiliary table (repro.core.aux_table)."""
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,8 +102,13 @@ def test_failed_apply_leaves_table_unchanged(aux, tmp_path):
 
 
 def test_keys_sorted_within_store(aux):
+    """Partition rows are in key order: ``V_aux.rank`` of the sorted keys
+    counts up from 0, and row ``rank(k)`` holds key k's codes."""
+    keys = np.array([1, 5, 9])
+    rows = aux._vaux.rank(keys)
+    assert rows.tolist() == [0, 1, 2]
     payload = aux._store._load_partition(0)
-    assert (np.diff(payload["keys"]) > 0).all()
+    assert payload["cols"]["a"][rows - payload["start"]].tolist() == [10, 50, 90]
 
 
 def test_master_roundtrip(aux):
@@ -182,8 +190,8 @@ def test_narrow_partitions_are_smaller(tmp_path):
     codes = {"a": (keys * 7919 % 200).astype(np.int32)}
     t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
     t.build(keys, codes)
-    # 8-byte key + 1-byte code per row, against 12 bytes as int32
-    assert t._store.n_partitions == -(-5000 // (4096 // 9))
+    # a 1-byte code and no key per row, against 12 bytes as int64 key + int32
+    assert t._store.n_partitions == -(-5000 // (4096 // 1))
 
 
 def test_lookup_and_master_stay_int32(aux):
@@ -201,10 +209,10 @@ def test_apply_on_bounded_pool_matches_unbounded(tmp_path):
     than the table evicts during that read without changing the result."""
     keys = np.arange(0, 3000, 2)
     codes = {"a": (keys % 251).astype(np.int32), "b": (keys % 7).astype(np.int32)}
-    small = MemoryPool(4096)
+    small = MemoryPool(2048)
     masters = []
     for name, pool in (("small", small), ("unbounded", MemoryPool(None))):
-        t = AuxTable(str(tmp_path / name), partition_bytes=1024, pool=pool)
+        t = AuxTable(str(tmp_path / name), partition_bytes=256, pool=pool)
         t.build(keys, codes)
         t.apply(upsert_keys=np.array([1, 4, 5000]), upsert_codes={"a": [1, 2, 3], "b": [4, 5, 6]},
                 remove_keys=np.array([0, 10, 2998]))
@@ -217,3 +225,89 @@ def test_apply_on_bounded_pool_matches_unbounded(tmp_path):
     assert c1["a"].tolist() == c2["a"].tolist()
     assert c1["b"].tolist() == c2["b"].tolist()
     assert c1["a"][np.searchsorted(want, [1, 4, 5000, 6])].tolist() == [1, 2, 3, 6]
+
+
+@pytest.fixture
+def gappy(tmp_path):
+    """Keys 100..397 in steps of 3 over several partitions, on a pool that
+    counts its loads."""
+    pool = MemoryPool(None)
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=16, pool=pool)
+    keys = np.arange(100, 400, 3)
+    t.build(keys, {"a": (keys % 200).astype(np.int32)})
+    assert t._store.n_partitions > 4
+    return t, keys, pool
+
+
+def test_non_members_load_nothing(gappy):
+    t, keys, pool = gappy
+    size = t._vaux.size
+    assert size == 398
+    absent = np.array([0, 99, 101, 102, 395, 396, size, size + 1, 1 << 40, -1, -(1 << 40)])
+    pool.clear()
+    pool.stats.reset()
+    mask, codes = t.lookup(absent)
+    assert not mask.any() and len(codes["a"]) == 0
+    assert pool.stats.misses == 0 and pool.stats.hits == 0
+    mask, codes = t.lookup(np.concatenate([absent, keys[::-7]]))
+    assert mask.tolist() == [False] * len(absent) + [True] * len(keys[::-7])
+    assert codes["a"].tolist() == (keys[::-7] % 200).tolist()
+
+
+def test_loaded_partitions_hold_no_keys(gappy):
+    t, _, _ = gappy
+    for pi in range(t._store.n_partitions):
+        payload = t._store._load_partition(pi)
+        assert set(payload) == {"start", "cols"} and set(payload["cols"]) == {"a"}
+        assert payload["cols"]["a"].dtype == np.uint8
+
+
+def test_emptied_table_writes_no_vaux(tmp_path):
+    t = AuxTable(str(tmp_path))
+    t.build(np.empty(0, np.int64), {"a": np.empty(0, np.int32)})
+    assert t.nbytes_disk == 0 and not list(tmp_path.rglob("vaux.bin"))
+    t.apply(upsert_keys=np.array([3, 8]), upsert_codes={"a": [1, 2]})
+    assert len(list(tmp_path.rglob("vaux.bin"))) == 1
+    t.apply(remove_keys=np.array([3, 8]))
+    assert t.nbytes_disk == 0 and not list(tmp_path.rglob("vaux.bin"))
+    assert not t.lookup(np.array([3, 8, 0]))[0].any()
+    assert t.master()[0].tolist() == [] and t.master()[1]["a"].tolist() == []
+
+
+def test_upsert_widens_key_span(aux):
+    assert aux._vaux.size == 10
+    aux.apply(upsert_keys=np.array([70_000, 0]), upsert_codes={"a": [7, 0], "b": [1, 2]})
+    assert aux._vaux.size == 70_001
+    mask, codes = aux.lookup(np.array([70_000, 0, 9, 69_999, 70_001]))
+    assert mask.tolist() == [True, True, True, False, False]
+    assert codes["a"].tolist() == [7, 0, 90]
+    assert aux.master()[0].tolist() == [0, 1, 5, 9, 70_000]
+
+
+def test_pickle_reads_vaux_back_from_its_file(gappy):
+    t, keys, _ = gappy
+    blob = pickle.dumps(t)
+    copy = pickle.loads(blob)
+    probe = np.arange(90, 420)
+    (m1, c1), (m2, c2) = copy.lookup(probe), t.lookup(probe)
+    assert m1.tolist() == m2.tolist() and c1["a"].tolist() == c2["a"].tolist()
+    (k1, c1), (k2, c2) = copy.master(), t.master()
+    assert k1.tolist() == k2.tolist() == keys.tolist() and c1["a"].tolist() == c2["a"].tolist()
+    os.remove(os.path.join(t._store.dir, "vaux.bin"))
+    with pytest.raises(FileNotFoundError):  # V_aux is not in the pickle
+        pickle.loads(blob)
+
+
+def test_pinned_bytes_are_vaux_and_its_directory(tmp_path):
+    pool = MemoryPool(None)
+    t = AuxTable(str(tmp_path), pool=pool)
+
+    def vaux_bytes():
+        return t._vaux.nbytes_resident() + t._vaux.rank_directory().nbytes
+
+    t.build(np.array([1, 5, 9]), {"a": np.array([1, 2, 3], dtype=np.int32)})
+    assert pool.pinned_bytes == vaux_bytes() == 8 + 4
+    t.apply(upsert_keys=np.array([100_000]), upsert_codes={"a": [4]})
+    assert pool.pinned_bytes == vaux_bytes() == 12_504 + 4 * 1563  # re-pinned, not added
+    t.apply(remove_keys=np.array([100_000]))
+    assert pool.pinned_bytes == vaux_bytes() == 8 + 4

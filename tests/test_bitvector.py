@@ -116,3 +116,17 @@ def test_set_get_property(idx_set):
         bv.set(idx)
     assert bv.set_indices().tolist() == sorted(idx_set)
     assert bv.count() == len(idx_set)
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 1000, 1003])
+def test_rank_is_exclusive_cumsum(size):
+    rng = np.random.default_rng(size)
+    bv = BitVector(size)
+    for _ in range(2):  # the second round checks the directory rebuilt after set
+        bv.set(np.flatnonzero(rng.random(size) < 0.3))
+        bits = bv.get(np.arange(size)).astype(np.int64)
+        assert bv.rank(np.arange(size)).tolist() == (np.cumsum(bits) - bits).tolist()
+    bv.set(np.arange(size), False)
+    assert not bv.rank(np.arange(size)).any()
+    with pytest.raises(IndexError):
+        bv.rank(np.array([size]))

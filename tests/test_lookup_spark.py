@@ -102,3 +102,29 @@ def test_mixed_type_column_rejected_before_any_job(spark, tmp_path):
     out = lookup_distributed(spark, dm, keys_df, cols=["txt"]).toPandas().sort_values("key")
     assert out["txt"].tolist() == ["a", "c"]
     assert dm.lookup(np.array([1, 4]))["v"].tolist() == [1, "x"]
+
+
+def test_int_column_with_object_dictionary_maps_to_long(spark, tmp_path):
+    """An int column that met a string, which was deleted before a retrain,
+    keeps an object dictionary of Python ints: Spark reads it as a LongType
+    column, with the values a local lookup returns. Adding a float makes
+    the column mixed again, and it is rejected, not coerced."""
+    pdf = pd.DataFrame({"key": [1, 2, 3], "v": [1, 2, 1], "txt": ["a", "b", "a"]})
+    dm = DeepMapping.build(
+        pdf, ["key"], ["v", "txt"], CFG, workdir=str(tmp_path), key_space=KeySpace((1,), (10,)),
+    )
+    dm.insert(pd.DataFrame({"key": [4], "v": ["x"], "txt": ["c"]}))
+    dm.delete(np.array([4]))
+    dm.retrain()
+    assert dm.codecs["v"].classes_.dtype == object
+    keys_df = spark.createDataFrame(pd.DataFrame({"key": [1, 2, 3, 4]}))
+    sdf = lookup_distributed(spark, dm, keys_df)
+    assert sdf.schema["v"].dataType.simpleString() == "bigint"
+    got = {r["key"]: r["v"] for r in sdf.collect()}
+    assert got == {1: 1, 2: 2, 3: 1, 4: None}
+    assert all(type(v) is int for v in dm.lookup(np.array([1, 2, 3]))["v"])
+
+    dm.insert(pd.DataFrame({"key": [5], "v": [1.5], "txt": ["d"]}))
+    with pytest.raises(TypeError, match="'v'"):
+        lookup_distributed(spark, dm, keys_df)
+    assert dm.lookup(np.array([5]))["v"].tolist() == [1.5]
