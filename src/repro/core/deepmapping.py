@@ -180,11 +180,13 @@ class DeepMapping:
         found, vals = self.lookup_arrays(keys, cols)
 
         t0 = time.perf_counter()
-        out = {kc: keys[:, i] for i, kc in enumerate(self.key_cols)}
+        # every column is a new array made here, so the frame may adopt them
+        # as they are instead of copying them into consolidated blocks
+        out = {kc: keys[:, i].copy() for i, kc in enumerate(self.key_cols)}
         for c in cols:
             out[c] = np.full(len(keys), None, dtype=object)
             out[c][found] = vals[c]
-        df = pd.DataFrame(out)
+        df = pd.DataFrame(out, copy=False)
         self.stats.decode_time += time.perf_counter() - t0
         return df
 

@@ -12,7 +12,10 @@ executors.
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
 DataFrame — the paper's batched, parallel inference path. Each batch gets
 the structure's typed result (found-mask plus native-dtype values) and
-turns it into nullable columns, NULL for non-existing keys.
+turns it into nullable columns, NULL for non-existing keys. Inside each
+Python worker of ``local[N]``, a batch of more than ``nn.INFER_BATCH`` keys
+runs its inference on 2 threads (``MultiTaskMLP.predict``), so N workers
+may run up to 2N inference threads.
 
 The structure itself is built on the driver with
 :meth:`~repro.core.deepmapping.DeepMapping.build` over a pandas relation

@@ -9,8 +9,11 @@ Training runs on the one-hot feature matrix. Batch inference
 (:meth:`MultiTaskMLP.predict`) never builds it: the input arrives in
 factored form, so the layer that reads it is a sum of a few rows of tables
 derived from that layer's weights, and the rest of the forward pass is
-float32 matmul with in-place bias and ReLU. :meth:`MultiTaskMLP.logits` is
-the dense reference the tests compare it with.
+float32 matmul with in-place bias and ReLU. A batch of more than
+``INFER_BATCH`` keys is cut into ``INFER_WORKERS`` contiguous spans that the
+calling thread and a worker thread started for the call run at once.
+:meth:`MultiTaskMLP.logits` is the dense reference the tests compare it
+with.
 
 Weights may be *views into a shared weight bank* (MHAS / ENAS parameter
 sharing): layers are created through a factory so `mhas.py` can hand out
@@ -18,14 +21,20 @@ bank-owned arrays that persist across sampled child models.
 """
 from __future__ import annotations
 
+import os
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ArchSpec", "MultiTaskMLP", "softmax", "INFER_BATCH"]
+__all__ = ["ArchSpec", "MultiTaskMLP", "softmax", "INFER_BATCH", "INFER_WORKERS"]
 
 INFER_BATCH = 8192  # keys per forward pass at inference; set by measurement
+# threads that run one predict call, the caller included; set by measurement:
+# each matmul already runs on 2 BLAS threads, and 3 or 4 gained nothing
+# beyond run-to-run noise on 4 cores
+INFER_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -175,6 +184,12 @@ class MultiTaskMLP:
         weights here, on every call, and never kept. The logits of the heads
         without private layers come from one stacked matrix. Keys run
         ``INFER_BATCH`` at a time; no key's result depends on the others.
+
+        More than ``INFER_BATCH`` keys are cut into up to ``INFER_WORKERS``
+        equal contiguous spans. The calling thread runs the first span and
+        threads started for this call run the rest, each into its own slice
+        of the result; an exception in any span is raised here. A call of at
+        most ``INFER_BATCH`` keys runs on the calling thread alone.
         """
         first = self.shared[:1] or [layers[0] for layers in self.heads.values()]
         w = np.hstack([lyr.w for lyr in first])
@@ -198,38 +213,59 @@ class MultiTaskMLP:
             w_out = np.hstack([self.heads[t][0].w for t in direct]).T
             b_out = np.concatenate([self.heads[t][0].b for t in direct])[:, None]
 
+        def run(lo, hi, z, part, lg):
+            """Keys ``lo:hi``, ``INFER_BATCH`` at a time, in buffers of
+            ``min(hi - lo, INFER_BATCH)`` keys that the caller allocated."""
+            for s in range(lo, hi, INFER_BATCH):
+                e = min(hi, s + INFER_BATCH)
+                zb = z[: e - s]
+                # positions are in range by construction; mode "clip" lets
+                # take write straight into ``out`` where "raise" would buffer
+                np.take(tables[0], hot[s:e, 0], axis=0, out=zb, mode="clip")
+                for g in range(1, len(tables)):
+                    np.take(tables[g], hot[s:e, g], axis=0, out=part[: e - s], mode="clip")
+                    zb += part[: e - s]
+                if self.shared:
+                    h = np.maximum(zb, 0.0, out=zb)
+                    for lyr in self.shared[1:]:
+                        h = _dense_relu(h, lyr)
+                    head_in = {t: (h, self.heads[t]) for t in private}
+                    if direct:  # logits [classes, keys], as _argmax_rows wants
+                        logits = np.matmul(w_out, h.T, out=lg[:, : e - s])
+                        logits += b_out
+                else:
+                    head_in = {t: (np.maximum(zb[:, span[t]], 0.0), self.heads[t][1:]) for t in private}
+                    logits = zb.T
+                for t in direct:
+                    out[t][s:e] = _argmax_rows(logits[span[t]])
+                for t, (a, layers) in head_in.items():
+                    for lyr in layers[:-1]:
+                        a = _dense_relu(a, lyr)
+                    zt = layers[-1].w.T @ a.T
+                    zt += layers[-1].b[:, None]
+                    out[t][s:e] = _argmax_rows(zt)
+
+        # the caller allocates every span's buffers: memory a worker thread
+        # allocates stays in that thread's malloc arena and raises peak RSS
         n = len(hot)
         out = {t: np.empty(n, dtype=np.int32) for t in self.heads}
-        z = np.empty((min(n, INFER_BATCH), w.shape[1]), dtype=np.float32)
-        part = np.empty_like(z)
-        for s in range(0, n, INFER_BATCH):
-            e = min(n, s + INFER_BATCH)
-            zb = z[: e - s]
-            # positions are in range by construction; mode "clip" lets take
-            # write straight into ``out`` where "raise" would buffer
-            np.take(tables[0], hot[s:e, 0], axis=0, out=zb, mode="clip")
-            for g in range(1, len(tables)):
-                np.take(tables[g], hot[s:e, g], axis=0, out=part[: e - s], mode="clip")
-                zb += part[: e - s]
-            if self.shared:
-                h = np.maximum(zb, 0.0, out=zb)
-                for lyr in self.shared[1:]:
-                    h = _dense_relu(h, lyr)
-                head_in = {t: (h, self.heads[t]) for t in private}
-                if direct:
-                    logits = w_out @ h.T  # [classes, keys], as _argmax_rows wants
-                    logits += b_out
-            else:
-                head_in = {t: (np.maximum(zb[:, span[t]], 0.0), self.heads[t][1:]) for t in private}
-                logits = zb.T
-            for t in direct:
-                out[t][s:e] = _argmax_rows(logits[span[t]])
-            for t, (a, layers) in head_in.items():
-                for lyr in layers[:-1]:
-                    a = _dense_relu(a, lyr)
-                zt = layers[-1].w.T @ a.T
-                zt += layers[-1].b[:, None]
-                out[t][s:e] = _argmax_rows(zt)
+        k = max(1, min(INFER_WORKERS, -(-n // INFER_BATCH)))
+        cuts = [n * i // k for i in range(k + 1)]
+        jobs = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            z = np.empty((min(hi - lo, INFER_BATCH), w.shape[1]), dtype=np.float32)
+            lg = np.empty((len(b_out), len(z)), np.float32) if self.shared and direct else None
+            jobs.append((lo, hi, z, np.empty_like(z), lg))
+        if len(jobs) == 1:
+            run(*jobs[0])
+            return out
+        # leaving the block waits for every span, so no thread still writes
+        # ``out`` once predict returns, even when a span raised
+        with ThreadPoolExecutor(len(jobs) - 1, thread_name_prefix="infer") as ex:
+            futures = [ex.submit(run, *job) for job in jobs[1:]]
+            run(*jobs[0])
+            for f in futures:
+                f.result()
         return out
 
     # -- training ------------------------------------------------------------

@@ -122,6 +122,14 @@ class TestLookup:
         out = d.lookup(np.empty(0, np.int64))
         assert len(out) == 0
 
+    def test_frame_does_not_alias_query_keys(self, dm):
+        d, df = dm
+        keys = df["key"].to_numpy(dtype=np.int64, copy=True)[:50]
+        out = d.lookup(keys)
+        before = out.copy(deep=True)
+        keys[:] = -1
+        pd.testing.assert_frame_equal(out, before)
+
     def test_stats_counters_advance(self, dm):
         d, df = dm
         d.stats.reset()

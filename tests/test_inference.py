@@ -5,11 +5,15 @@ The kernel sums first-layer table rows in place of a one-hot matmul, so its
 logits differ from the reference in the last float32 bits: it must give the
 reference's argmax wherever the top two logits are more than 1e-3 apart.
 Build sweep and lookup both run the kernel, so it must also give every key
-the same code whatever batch the key runs in.
+the same code whatever batch the key runs in, and whatever number of
+threads the batch is split over.
 """
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core import nn
 from repro.core.deepmapping import predict_codes
 from repro.core.encoding import KeySpace
 from repro.core.model import DIGIT_THRESHOLD, MappingModel
@@ -75,3 +79,64 @@ def test_empty_batch():
     ks = KEY_SPACES["composite"]
     out = predict_codes(_model(ks, ARCHS["trunk"]), ks, np.empty(0, np.int64), list(CLASSES))
     assert all(len(v) == 0 and v.dtype == np.int32 for v in out.values())
+
+
+def _keys(ks: KeySpace, n: int, seed: int = 3) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, ks.size, n)
+
+
+@pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
+@pytest.mark.parametrize("ks", KEY_SPACES.values(), ids=KEY_SPACES)
+def test_parallel_equals_sequential(ks, arch, monkeypatch):
+    """Every worker count gives every key the code one thread gives it, on
+    one chunk and on two or three spans that end mid-chunk."""
+    m = _model(ks, arch)
+    for n in (INFER_BATCH, 2 * INFER_BATCH + 3, 5 * INFER_BATCH + 1):
+        hot = ks.hot_positions(_keys(ks, n))
+        monkeypatch.setattr(nn, "INFER_WORKERS", 1)
+        seq = m.net.predict(hot, ks.blocks)
+        for workers in (2, 3):
+            monkeypatch.setattr(nn, "INFER_WORKERS", workers)
+            par = m.net.predict(hot, ks.blocks)
+            for t in seq:
+                assert (par[t] == seq[t]).all(), (n, workers, t)
+
+
+def test_small_call_runs_inline(monkeypatch):
+    """A call of at most INFER_BATCH keys starts no thread."""
+    def no_threads(*args, **kwargs):
+        raise AssertionError("an inference thread was started")
+
+    ks = KEY_SPACES["composite"]
+    m = _model(ks, ARCHS["trunk"])
+    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", no_threads)
+    for n in (0, 1, INFER_BATCH):
+        out = m.net.predict(ks.hot_positions(_keys(ks, n)), ks.blocks)
+        assert all(len(v) == n for v in out.values())
+    with pytest.raises(AssertionError, match="inference thread was started"):
+        m.net.predict(ks.hot_positions(_keys(ks, INFER_BATCH + 1)), ks.blocks)
+
+
+def test_worker_exception_propagates(monkeypatch):
+    """An exception in a span a worker thread runs reaches the caller, and
+    the next call still succeeds."""
+    ks = KEY_SPACES["decimal"]
+    m = _model(ks, ARCHS["trunk"])
+    hot = ks.hot_positions(_keys(ks, 2 * INFER_BATCH))
+    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
+    want = m.net.predict(hot, ks.blocks)
+    argmax = nn._argmax_rows
+
+    def fail_off_main(z):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("span failed")
+        return argmax(z)
+
+    monkeypatch.setattr(nn, "_argmax_rows", fail_off_main)
+    with pytest.raises(RuntimeError, match="span failed"):
+        m.net.predict(hot, ks.blocks)
+    monkeypatch.setattr(nn, "_argmax_rows", argmax)
+    got = m.net.predict(hot, ks.blocks)
+    assert all((got[t] == want[t]).all() for t in want)
+
