@@ -11,9 +11,10 @@ We provide:
   each key tuple to a *dense index* via mixed-radix positional encoding,
   which is what the existence bit vector ``V_exist`` is addressed by, and
   produces the one-hot digit features fed to the neural network, either as
-  a matrix (training) or in factored form straight from the dense index:
-  per merged block of one-hot columns, the index of the digit combination
-  a key selects (inference, see :meth:`KeySpace.hot_positions`).
+  a matrix (training, one mini-batch at a time) or in factored form
+  straight from the dense index: per merged block of one-hot columns, the
+  index of the digit combination a key selects (inference, see
+  :meth:`KeySpace.hot_positions`).
 * :class:`LabelCodec` — per-value-column dictionary encoder: original
   values → contiguous integer class codes and back (the ``f_decode`` of
   the paper, one codec per output head).
@@ -38,14 +39,6 @@ TABLE_ROWS = 1000
 def _ndigits(card: int) -> int:
     """Number of base-10 digits needed to render ``card`` distinct values."""
     return max(1, len(str(max(0, card - 1))))
-
-
-def _onehot_rows(radices: tuple[int, ...]) -> np.ndarray:
-    """One-hot features of every digit combination of consecutive one-hot
-    blocks with these radices (most significant first), row-major:
-    [prod(radices), sum(radices)] float32."""
-    digits = np.indices(radices).reshape(len(radices), -1)
-    return np.hstack([np.eye(r, dtype=np.float32)[d] for r, d in zip(radices, digits)])
 
 
 @dataclass(frozen=True)
@@ -190,29 +183,42 @@ class KeySpace:
             out[rows, col + digit] = 1.0
         return out
 
-    def _runs(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """``(source, divisor, radices)`` per merged block, in column order.
-
-        A merged block is a run of consecutive one-hot blocks that render one
-        source, as long as the product of its radices stays ≤ ``TABLE_ROWS``.
-        The source is a key component's offset, or the dense index with
-        ``feature_radices`` (source 0 either way for simple keys). The run's
-        digits, read as one mixed-radix number, are
-        ``source // divisor % prod(radices)``.
-        """
+    def _digits(self) -> list[tuple[int, int, int]]:
+        """``(source, divisor, radix)`` per one-hot block, in column order:
+        the block's digit is ``source // divisor % radix``. The source is a
+        key component's offset, or the dense index with ``feature_radices``
+        (source 0 either way for simple keys)."""
         if self.feature_radices is not None:
             digits = [(0, r) for r in self.feature_radices]
         else:
             digits = [(i, 10) for i, c in enumerate(self.cards) for _ in range(_ndigits(c))]
-        runs: list[tuple[int, int, tuple[int, ...]]] = []
+        out: list[tuple[int, int, int]] = []
         divisor: dict[int, int] = {}
         for src, r in reversed(digits):  # least significant first
             div = divisor.get(src, 1)
+            out.append((src, div, r))
+            divisor[src] = div * r
+        return out[::-1]
+
+    def _sources(self, idx: np.ndarray) -> list[np.ndarray]:
+        """The sources :meth:`_digits` refers to, of dense keys ``idx``."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return [idx] if self.feature_radices is not None else self._offsets(idx)
+
+    def _runs(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """``(source, divisor, radices)`` per merged block, in column order.
+
+        A merged block is a run of consecutive one-hot blocks (:meth:`_digits`)
+        of one source, as long as the product of its radices stays ≤
+        ``TABLE_ROWS``. The run's digits, read as one mixed-radix number, are
+        ``source // divisor % prod(radices)``.
+        """
+        runs: list[tuple[int, int, tuple[int, ...]]] = []
+        for src, div, r in reversed(self._digits()):
             if runs and runs[-1][0] == src and math.prod(runs[-1][2]) * r <= TABLE_ROWS:
                 runs[-1] = (src, runs[-1][1], (r,) + runs[-1][2])
             else:
                 runs.append((src, div, (r,)))
-            divisor[src] = div * r
         return runs[::-1]
 
     @property
@@ -225,19 +231,32 @@ class KeySpace:
         intp: ``hot[i, g]`` is the row-major index of key ``i``'s digits in
         merged block ``g``, whose radices are ``blocks[g]``. Column-major, so
         each block's positions are contiguous."""
-        idx = np.asarray(idx, dtype=np.int64)
-        src = [idx] if self.feature_radices is not None else self._offsets(idx)
+        src = self._sources(idx)
         runs = self._runs()
-        hot = np.empty((len(idx), len(runs)), dtype=np.intp, order="F")
+        hot = np.empty((len(src[0]), len(runs)), dtype=np.intp, order="F")
         for g, (s, div, radices) in enumerate(runs):
             np.floor_divide(src[s], div, out=hot[:, g])
             hot[:, g] %= math.prod(radices)
         return hot
 
     def features_from_dense(self, idx: np.ndarray) -> np.ndarray:
-        """:meth:`features` of the keys at dense indices ``idx``."""
-        hot = self.hot_positions(idx)
-        return np.hstack([_onehot_rows(r)[h] for r, h in zip(self.blocks, hot.T)])
+        """:meth:`features` of the keys at dense indices ``idx``: a zero
+        matrix with each one-hot block's one written at its digit's column,
+        through one flat index per key and block."""
+        src = self._sources(idx)
+        n = len(src[0])
+        out = np.zeros((n, self.input_dim), dtype=np.float32)
+        row = np.arange(0, n * self.input_dim, self.input_dim, dtype=np.int64)
+        pos = np.empty(n, dtype=np.int64)
+        col = 0
+        for s, div, r in self._digits():
+            np.floor_divide(src[s], div, out=pos)
+            pos %= r
+            pos += row
+            pos += col
+            out.ravel()[pos] = 1.0
+            col += r
+        return out
 
 
 class LabelCodec:

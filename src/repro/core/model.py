@@ -137,6 +137,21 @@ class MappingModel:
         return m
 
 
+class _BatchFeatures:
+    """The one-hot features of ``dense_keys`` as :meth:`MultiTaskMLP.fit`
+    reads them, built one mini-batch at a time: ``x[b]`` is
+    ``key_space.features_from_dense(dense_keys[b])``."""
+
+    def __init__(self, key_space: KeySpace, dense_keys: np.ndarray):
+        self.key_space, self.dense_keys = key_space, dense_keys
+
+    def __len__(self) -> int:
+        return len(self.dense_keys)
+
+    def __getitem__(self, b: np.ndarray) -> np.ndarray:
+        return self.key_space.features_from_dense(self.dense_keys[b])
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyper-parameters (paper Sec. V-A.6, scaled — DESIGN.md §6)."""
@@ -157,11 +172,16 @@ def train_model(
     arch: ArchSpec,
     cfg: TrainConfig = TrainConfig(),
 ) -> MappingModel:
-    """Train a multi-task mapping model to memorize ``dense_keys -> codes``."""
-    x = key_space.features_from_dense(np.asarray(dense_keys, dtype=np.int64))
+    """Train a multi-task mapping model to memorize ``dense_keys -> codes``.
+
+    Each mini-batch's one-hot features are built when the batch is drawn,
+    so training holds one batch of them, never the ``[n, input_dim]``
+    matrix (46 MB for 200K keys of 60 columns, ~20 GB at the paper's
+    SF=10 lineitem). The weights equal those of ``fit`` on the whole
+    matrix with the same seed."""
     model = MappingModel(key_space.input_dim, arch, n_classes, seed=cfg.seed)
     model.fit(
-        x,
+        _BatchFeatures(key_space, np.asarray(dense_keys, dtype=np.int64)),
         {c: np.asarray(v, dtype=np.int64) for c, v in codes.items()},
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,

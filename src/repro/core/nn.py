@@ -5,13 +5,17 @@ network — a trunk of *shared* dense+ReLU layers feeding one *private*
 dense+ReLU stack and softmax output head per value column — is
 implemented directly: forward, softmax cross-entropy backward, and Adam.
 
-Training runs on the one-hot feature matrix. Batch inference
-(:meth:`MultiTaskMLP.predict`) never builds it: the input arrives in
-factored form, so the layer that reads it is a sum of a few rows of tables
-derived from that layer's weights, and the rest of the forward pass is
-float32 matmul with in-place bias and ReLU. A batch of more than
-``INFER_BATCH`` keys is cut into ``INFER_WORKERS`` contiguous spans that the
-calling thread and a worker thread started for the call run at once.
+Training runs on one-hot feature rows, one mini-batch at a time:
+:meth:`MultiTaskMLP.fit` takes the rows of a batch as ``x[b]``, from a
+matrix or from an object that featurizes the batch's keys when it is
+drawn, and no gradient is computed for the features themselves. Batch
+inference (:meth:`MultiTaskMLP.predict`) never builds feature rows: the
+input arrives in factored form, so the layer that reads it is a sum of a
+few rows of tables derived from that layer's weights, and the rest of the
+forward pass is float32 matmul with in-place bias and ReLU, in buffers each
+calling thread keeps between calls. A batch of more than ``INFER_BATCH``
+keys is cut into ``INFER_WORKERS`` contiguous spans that the calling thread
+and a worker thread started for the call run at once.
 :meth:`MultiTaskMLP.logits` is the dense reference the tests compare it
 with.
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,10 +71,13 @@ class _Dense:
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w, self.b = w, b
-        self.mw = np.zeros_like(w)
-        self.vw = np.zeros_like(w)
-        self.mb = np.zeros_like(b)
-        self.vb = np.zeros_like(b)
+        self.adam: list[np.ndarray] | None = None  # mw, vw, mb, vb
+
+    def __getstate__(self):  # the Adam moments are training state only
+        return {"w": self.w, "b": self.b}
+
+    def __setstate__(self, state):
+        self.__init__(state["w"], state["b"])
 
     @staticmethod
     def init(d_in: int, d_out: int, rng: np.random.Generator) -> "_Dense":
@@ -81,7 +89,10 @@ class _Dense:
         return x @ self.w + self.b
 
     def adam_step(self, gw, gb, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
-        for g, p, m, v in ((gw, self.w, self.mw, self.vw), (gb, self.b, self.mb, self.vb)):
+        if self.adam is None:
+            self.adam = [np.zeros_like(p) for p in (self.w, self.w, self.b, self.b)]
+        mw, vw, mb, vb = self.adam
+        for g, p, m, v in ((gw, self.w, mw, vw), (gb, self.b, mb, vb)):
             m *= beta1
             m += (1 - beta1) * g
             v *= beta2
@@ -113,6 +124,42 @@ def _argmax_rows(z: np.ndarray) -> np.ndarray:
         return np.full(z.shape[1], -1)
     rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
     return (k - 1) - ((z == z.max(axis=0)) * rank).max(axis=0)
+
+
+# per calling thread, predict's span buffers, kept between calls
+_kept = threading.local()
+
+
+def _span_buffers(k: int, m: int, width: int, n_logits: int) -> list[tuple]:
+    """``(z, part, lg)`` buffers for ``k`` spans of at most ``m`` keys each:
+    ``z`` and ``part`` [m, width], and ``lg`` [n_logits, m] or None.
+
+    Each span's three buffers are contiguous views into one flat float32
+    array that the calling thread keeps between calls and replaces only
+    when it is too small. The calling thread allocates every span's array,
+    so it lives in that thread's malloc arena: memory a worker thread
+    allocates stays in the worker's arena and raises peak RSS. glibc maps
+    buffers of a few MB afresh on each allocation while its mmap threshold
+    is low, so allocating them per call costs thousands of page faults
+    per lookup.
+    """
+    # the views start 64 bytes past a multiple of 4 KB from each other: a
+    # load at the same offset within 4 KB as a store still in flight waits
+    # for it (4K aliasing), which ``z += part`` would hit on every element
+    step = -(-(m * width - 16) // 1024) * 1024 + 16
+    need = 2 * step + n_logits * m
+    kept = getattr(_kept, "spans", [])
+    flat = [kept[j] if j < len(kept) and len(kept[j]) >= need else np.empty(need, np.float32)
+            for j in range(k)]
+    _kept.spans = flat + kept[k:]
+    return [
+        (
+            a[: m * width].reshape(m, width),
+            a[step : step + m * width].reshape(m, width),
+            a[2 * step : need].reshape(n_logits, m) if n_logits else None,
+        )
+        for a in flat
+    ]
 
 
 class MultiTaskMLP:
@@ -190,6 +237,13 @@ class MultiTaskMLP:
         threads started for this call run the rest, each into its own slice
         of the result; an exception in any span is raised here. A call of at
         most ``INFER_BATCH`` keys runs on the calling thread alone.
+
+        Each span's first-layer and logit buffers are kept by the calling
+        thread (:func:`_span_buffers`), never by the model, so they are not
+        pickled and two threads never share them. Allocated per call, they
+        cost thousands of minor page faults per 100K-key lookup and a few
+        percent of its latency, because glibc maps buffers of this size
+        afresh on every allocation.
         """
         first = self.shared[:1] or [layers[0] for layers in self.heads.values()]
         w = np.hstack([lyr.w for lyr in first])
@@ -214,8 +268,8 @@ class MultiTaskMLP:
             b_out = np.concatenate([self.heads[t][0].b for t in direct])[:, None]
 
         def run(lo, hi, z, part, lg):
-            """Keys ``lo:hi``, ``INFER_BATCH`` at a time, in buffers of
-            ``min(hi - lo, INFER_BATCH)`` keys that the caller allocated."""
+            """Keys ``lo:hi``, ``INFER_BATCH`` at a time, in buffers of at
+            least ``min(hi - lo, INFER_BATCH)`` keys that the caller owns."""
             for s in range(lo, hi, INFER_BATCH):
                 e = min(hi, s + INFER_BATCH)
                 zb = z[: e - s]
@@ -245,17 +299,13 @@ class MultiTaskMLP:
                     zt += layers[-1].b[:, None]
                     out[t][s:e] = _argmax_rows(zt)
 
-        # the caller allocates every span's buffers: memory a worker thread
-        # allocates stays in that thread's malloc arena and raises peak RSS
         n = len(hot)
         out = {t: np.empty(n, dtype=np.int32) for t in self.heads}
         k = max(1, min(INFER_WORKERS, -(-n // INFER_BATCH)))
         cuts = [n * i // k for i in range(k + 1)]
-        jobs = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            z = np.empty((min(hi - lo, INFER_BATCH), w.shape[1]), dtype=np.float32)
-            lg = np.empty((len(b_out), len(z)), np.float32) if self.shared and direct else None
-            jobs.append((lo, hi, z, np.empty_like(z), lg))
+        n_logits = len(b_out) if self.shared and direct else 0
+        bufs = _span_buffers(k, min(-(-n // k), INFER_BATCH), w.shape[1], n_logits)
+        jobs = [(lo, hi, *b) for lo, hi, b in zip(cuts, cuts[1:], bufs)]
         if len(jobs) == 1:
             run(*jobs[0])
             return out
@@ -270,12 +320,14 @@ class MultiTaskMLP:
 
     # -- training ------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: dict[str, np.ndarray], lr: float) -> float:
-        """One Adam step on summed softmax cross-entropy; returns mean loss."""
+        """One Adam step on summed softmax cross-entropy; returns mean loss.
+        The layers that read ``x`` pass no gradient back: nothing learns the
+        input features."""
         n = len(x)
         h, acts = self._trunk(x, keep=True)
         self._t += 1
         total_loss = 0.0
-        d_trunk = np.zeros_like(h)
+        d_trunk = np.zeros_like(h) if self.shared else None
 
         for task, layers in self.heads.items():
             # head forward with activations kept
@@ -298,12 +350,13 @@ class MultiTaskMLP:
                 a_in = a_list[li]
                 gw = a_in.T @ grad
                 gb = grad.sum(axis=0)
-                d_in = grad @ lyr.w.T
+                d_in = grad @ lyr.w.T if li > 0 or self.shared else None
                 if li > 0:
                     d_in *= a_list[li] > 0  # ReLU of this head layer's input
                 lyr.adam_step(gw, gb, lr, self._t)
                 grad = d_in
-            d_trunk += grad
+            if self.shared:
+                d_trunk += grad
 
         # backward through the shared trunk
         grad = d_trunk
@@ -312,7 +365,8 @@ class MultiTaskMLP:
             grad = grad * (acts[li + 1] > 0)
             gw = acts[li].T @ grad
             gb = grad.sum(axis=0)
-            grad = grad @ lyr.w.T
+            if li > 0:
+                grad = grad @ lyr.w.T
             lyr.adam_step(gw, gb, lr, self._t)
         return total_loss
 
@@ -329,7 +383,11 @@ class MultiTaskMLP:
         tol: float = 1e-4,
     ) -> list[float]:
         """Mini-batch training; stops early when the loss change < ``tol``
-        (the paper's convergence criterion). Returns per-epoch losses."""
+        (the paper's convergence criterion). Returns per-epoch losses.
+
+        ``x`` is the feature matrix, or anything with ``len(x)`` whose
+        ``x[b]`` gives the feature rows of the keys at positions ``b``; each
+        batch's rows are read once, when the batch is drawn."""
         rng = np.random.default_rng(seed)
         n = len(x)
         losses: list[float] = []

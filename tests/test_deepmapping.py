@@ -227,6 +227,17 @@ class TestSerialization:
         assert vars(d.key_space) == vars(KeySpace(d.key_space.lows, d.key_space.cards))
 
 
+def test_model_pickle_holds_no_training_state(dm):
+    """The pickled model (part of the Spark broadcast) is its weights: the
+    Adam moments training left behind are not pickled."""
+    import pickle
+    d, _ = dm
+    assert all(lyr.adam is not None for lyr in d.model.net.all_layers())
+    assert len(pickle.dumps(d.model)) <= 1.1 * d.model.nbytes_stored()
+    restored = pickle.loads(pickle.dumps(d.model))
+    assert all(lyr.adam is None for lyr in restored.net.all_layers())
+
+
 class _Frames:
     """Stands in for a SparkSession: the generator's ``createDataFrame``
     hands the pandas frame back, so no JVM starts."""

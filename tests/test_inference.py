@@ -8,6 +8,8 @@ Build sweep and lookup both run the kernel, so it must also give every key
 the same code whatever batch the key runs in, and whatever number of
 threads the batch is split over.
 """
+import os
+import sys
 import threading
 
 import numpy as np
@@ -140,3 +142,66 @@ def test_worker_exception_propagates(monkeypatch):
     got = m.net.predict(hot, ks.blocks)
     assert all((got[t] == want[t]).all() for t in want)
 
+
+
+def _buffers(spans: int) -> list:
+    """The calling thread's kept buffers of its first ``spans`` spans."""
+    return nn._kept.spans[:spans]
+
+
+@pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
+def test_span_buffers_kept_between_calls(arch, monkeypatch):
+    """A second call of the same size on one thread runs in the buffers of
+    the first, and gives the same codes."""
+    ks = KEY_SPACES["composite"]
+    m = _model(ks, arch)
+    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
+    hot = ks.hot_positions(_keys(ks, 2 * INFER_BATCH + 3))
+    first = m.net.predict(hot, ks.blocks)
+    kept = _buffers(2)
+    second = m.net.predict(hot, ks.blocks)
+    assert len(_buffers(2)) == len(kept) == 2
+    assert all(np.shares_memory(a, b) for a, b in zip(kept, _buffers(2)))
+    assert all((first[t] == second[t]).all() for t in first)
+
+
+def test_concurrent_callers_get_sequential_codes(monkeypatch):
+    """More calling threads than cores, each with its own batch size and
+    all calling predict at once, get the codes of one sequential call per
+    batch and never share a buffer."""
+    ks = KEY_SPACES["decimal"]
+    m = _model(ks, ARCHS["deep-trunk-private-head"])
+    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
+    n_threads = len(os.sched_getaffinity(0)) + 1
+    sizes = [INFER_BATCH + 5 + 2 * i * INFER_BATCH // n_threads for i in range(n_threads)]
+    hots = [ks.hot_positions(_keys(ks, n, seed=n)) for n in sizes]
+    want = [m.net.predict(hot, ks.blocks) for hot in hots]
+    start = threading.Barrier(n_threads)
+    got, kept, errors = [None] * n_threads, [None] * n_threads, []
+
+    def call(i):
+        try:
+            start.wait()
+            for _ in range(3):
+                got[i] = m.net.predict(hots[i], ks.blocks)
+            kept[i] = _buffers(2)
+        except Exception as e:  # reraised below, on the test's thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(n_threads)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for g, w in zip(got, want):
+        assert all((g[t] == w[t]).all() for t in w)
+    for i in range(n_threads):
+        for j in range(i):
+            assert not any(np.shares_memory(a, b) for a in kept[i] for b in kept[j])

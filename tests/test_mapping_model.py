@@ -1,10 +1,15 @@
-"""Tests for MappingModel's digit-decomposed high-cardinality heads."""
+"""Tests for MappingModel's digit-decomposed high-cardinality heads and
+for ``train_model``, which featurizes one mini-batch at a time."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.encoding import KeySpace
-from repro.core.model import DIGIT_THRESHOLD, MappingModel
+from repro.core.model import DIGIT_THRESHOLD, MappingModel, TrainConfig, train_model
 from repro.core.nn import ArchSpec
+
+from .test_inference import ARCHS, CLASSES, KEY_SPACES
 
 
 def _x(n=500):
@@ -92,3 +97,52 @@ def test_private_spec_applied_to_each_digit_head():
     m = MappingModel(ks.input_dim, ArchSpec((8,), {"big": (6,)}), {"big": 300})
     for d in range(3):
         assert len(m.net.heads[f"big#d{d}"]) == 2  # private(6) + output
+
+
+def _codes(n: int, seed: int = 4) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {c: rng.integers(0, nc, n) for c, nc in CLASSES.items()}
+
+
+@pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
+@pytest.mark.parametrize("ks", KEY_SPACES.values(), ids=KEY_SPACES)
+def test_train_model_equals_fit_on_feature_matrix(ks, arch):
+    """Featurizing per batch trains the weights that ``fit`` on the whole
+    one-hot matrix trains with the same seed, bit for bit."""
+    dense = np.random.default_rng(5).permutation(ks.size)[:1500]
+    codes = _codes(len(dense))
+    cfg = TrainConfig(epochs=3, batch_size=128, seed=3, tol=0.0)
+    got = train_model(ks, dense, codes, CLASSES, arch, cfg)
+    ref = MappingModel(ks.input_dim, arch, CLASSES, seed=cfg.seed)
+    ref.fit(
+        ks.features_from_dense(dense), codes, epochs=cfg.epochs, batch_size=cfg.batch_size,
+        lr=cfg.lr, lr_decay=cfg.lr_decay, seed=cfg.seed, tol=cfg.tol,
+    )
+    for a, b in zip(got.net.all_layers(), ref.net.all_layers(), strict=True):
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+
+
+def test_train_model_featurizes_one_batch_at_a_time(monkeypatch):
+    """No featurize call sees more than a batch of keys, and training's peak
+    traced memory stays below half of the whole feature matrix."""
+    ks = KeySpace((0,), (100_000,))
+    dense = np.arange(ks.size)
+    codes = {"a": dense % 5}
+    cfg = TrainConfig(epochs=1, batch_size=512)
+    sizes = []
+    featurize = KeySpace.features_from_dense
+
+    def spy(self, idx):
+        sizes.append(len(idx))
+        return featurize(self, idx)
+
+    monkeypatch.setattr(KeySpace, "features_from_dense", spy)
+    tracemalloc.start()
+    try:
+        train_model(ks, dense, codes, {"a": 5}, ArchSpec((16,)), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= cfg.batch_size
+    assert sum(sizes) == len(dense)
+    assert peak < len(dense) * ks.input_dim * 4 / 2
