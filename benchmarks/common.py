@@ -7,8 +7,6 @@ SF≈0.02 (build cost is paid once per module in fixtures). Run with:
 """
 from __future__ import annotations
 
-
-from repro.baselines.memory_pool import MemoryPool
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
 from repro.experiments.harness import ExperimentConfig, build_method
@@ -34,12 +32,6 @@ def build_stores(spark, workload_name, methods, workdir, cfg, sf=SF):
     raw = uncompressed_nbytes(pdf[list(wl.key_cols) + list(wl.value_cols)])
     stores = {}
     for m in methods:
-        budget = None
-        if cfg.pool_fraction is not None:
-            budget = max(1 << 16, int(raw * cfg.pool_fraction))
-        stores[m] = build_method(
-            m, wl, pdf, f"{workdir}/{m}",
-            pool=MemoryPool(budget, io_bandwidth=cfg.io_bandwidth), cfg=cfg,
-        )
+        stores[m] = build_method(m, wl, pdf, f"{workdir}/{m}", pool=cfg.pool(raw), cfg=cfg)
     keys = random_key_batch(pdf, list(wl.key_cols), B, seed=0)
     return wl, pdf, stores, keys

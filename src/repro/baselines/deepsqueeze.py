@@ -38,7 +38,6 @@ class DeepSqueezeStore:
         epochs: int = 3,
         lr: float = 1e-2,
         seed: int = 0,
-        error_bound: float = 0.001,
         pool=None,
     ):
         """``pool`` (a MemoryPool) charges each query batch the simulated
@@ -51,7 +50,6 @@ class DeepSqueezeStore:
         self.epochs = epochs
         self.lr = lr
         self.seed = seed
-        self.error_bound = error_bound
         self.pool = pool
         self.columns: list[str] = []
         self._built = False
@@ -118,7 +116,6 @@ class DeepSqueezeStore:
         for j, c in enumerate(self.columns):
             wrong = np.flatnonzero(recon[:, j] != codes[c])
             self._corrections[c] = (wrong.astype(np.int64), codes[c][wrong])
-        self._codes_true = codes  # only for tests; excluded from size
         self._built = True
 
     def _decode_all(self) -> np.ndarray:

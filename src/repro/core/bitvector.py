@@ -3,8 +3,12 @@
 One bit per position of the dense key space; bit i == 1 iff the key with
 dense index i exists. Backed by ``numpy.packbits`` (the paper uses the
 ``bitarray`` C library, which is not installed here — same semantics).
-At-rest size is measured zlib-compressed, matching the paper's note that
-``V_exist`` is (de)compressed ("randomness in decompressing V_exist").
+At-rest size is the packed bits zlib-compressed, matching the paper's
+note that ``V_exist`` is (de)compressed ("randomness in decompressing
+V_exist"); nothing stores that blob, so only its length is computed.
+:meth:`BitVector.raw_bytes`/:meth:`BitVector.from_raw` are the vector's
+one serialized form; ``T_aux`` writes them through its codec as the
+``V_aux`` file.
 
 :meth:`BitVector.rank` counts the set bits below an index in O(1): a
 directory holds one int32 cumulative count per 64-bit word (Jacobson,
@@ -110,16 +114,9 @@ class BitVector:
         return offs[(offs >= lo) & (offs < hi)].astype(np.int64)
 
     # -- serialization / size ---------------------------------------------
-    def to_bytes(self) -> bytes:
-        return zlib.compress(self.raw_bytes(), 6)
-
     def raw_bytes(self) -> bytes:
         """The packed bits, uncompressed: one byte per 8 positions."""
         return self._bits[: (self.size + 7) // 8].tobytes()
-
-    @staticmethod
-    def from_bytes(data: bytes, size: int) -> "BitVector":
-        return BitVector.from_raw(zlib.decompress(data), size)
 
     @staticmethod
     def from_raw(raw: bytes, size: int) -> "BitVector":
@@ -131,8 +128,9 @@ class BitVector:
         return bv
 
     def nbytes_stored(self) -> int:
-        """At-rest (compressed) size in bytes — counts toward Eq. 1."""
-        return len(self.to_bytes())
+        """At-rest size in bytes, Eq. 1's size(V_exist): the packed bits
+        zlib-compressed at level 6."""
+        return len(zlib.compress(self.raw_bytes(), 6))
 
     def nbytes_resident(self) -> int:
         """In-memory size in bytes."""

@@ -257,7 +257,6 @@ class DeepMapping:
             )
         self._set_codecs(codecs)
         self.vexist.set(dense)
-        self.pool.pin("dm:vexist", self.vexist.nbytes_resident())
         self._maybe_retrain()
 
     # ------------------------------------------------------------- Algorithm 4
@@ -266,7 +265,6 @@ class DeepMapping:
         dense = self.key_space.dense_index(_key_matrix(keys))
         self.aux.apply(remove_keys=dense)
         self.vexist.set(dense, False)
-        self.pool.pin("dm:vexist", self.vexist.nbytes_resident())
         self._maybe_retrain()
 
     # ------------------------------------------------------------- Algorithm 5

@@ -137,10 +137,9 @@ class KeySpace:
         return np.stack(self._offsets(idx), axis=1) + np.asarray(self.lows, dtype=np.int64)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask of key tuples that fall inside the domain."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim == 1:
-            keys = keys[:, None]
+        """Boolean mask of key tuples that fall inside the domain; a key
+        with the wrong number of components raises ``ValueError``."""
+        keys = self._check(keys)
         ok = np.ones(len(keys), dtype=bool)
         for i, (lo, card) in enumerate(zip(self.lows, self.cards)):
             ok &= (keys[:, i] >= lo) & (keys[:, i] < lo + card)

@@ -8,6 +8,10 @@ decomposed into base-10 digits, one 10-class sub-task per digit
 (:class:`MappingModel`); a column's prediction is correct iff every
 digit is correct, and any mismatch is repaired by ``T_aux`` exactly as
 for direct heads. Low-cardinality columns keep one direct softmax head.
+
+A model is stored as its pickle and nothing else: Eq. 1's size(M) is the
+length of that pickle, the same bytes the model adds to the pickled
+structure that the Spark path broadcasts.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ class MappingModel:
     """Column-level facade over :class:`MultiTaskMLP`.
 
     ``fit``/``predict`` speak column codes; internally, columns whose
-    cardinality exceeds ``digit_threshold`` are split into base-10 digit
+    cardinality exceeds ``DIGIT_THRESHOLD`` are split into base-10 digit
     sub-tasks (named ``col#d<i>``). Private-layer specs given per column
     are applied to each of that column's sub-task heads.
     """
@@ -41,16 +45,14 @@ class MappingModel:
         n_classes: dict[str, int],
         seed: int = 0,
         layer_factory=None,
-        digit_threshold: int = DIGIT_THRESHOLD,
     ):
         self.col_classes = dict(n_classes)
-        self.digit_threshold = int(digit_threshold)
         self._digits: dict[str, int] = {}
         model_classes: dict[str, int] = {}
         private: dict[str, tuple[int, ...]] = {}
         for c, nc in n_classes.items():
             spec = tuple(arch.private.get(c, ()))
-            if nc > self.digit_threshold:
+            if nc > DIGIT_THRESHOLD:
                 nd = len(str(nc - 1))
                 self._digits[c] = nd
                 for d in range(nd):
@@ -112,29 +114,8 @@ class MappingModel:
         return self.net.nbytes_resident()
 
     def nbytes_stored(self) -> int:
-        return len(self.to_bytes())
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps(
-            {
-                "col_classes": self.col_classes,
-                "digit_threshold": self.digit_threshold,
-                "net": self.net.to_bytes(),
-            }
-        )
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "MappingModel":
-        blob = pickle.loads(data)
-        m = object.__new__(MappingModel)
-        m.col_classes = blob["col_classes"]
-        m.digit_threshold = blob["digit_threshold"]
-        m.net = MultiTaskMLP.from_bytes(blob["net"])
-        m._digits = {
-            c: (len(str(nc - 1)) if nc > m.digit_threshold else 0)
-            for c, nc in m.col_classes.items()
-        }
-        return m
+        """At-rest size, Eq. 1's size(M): the length of the pickle."""
+        return len(pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class _BatchFeatures:

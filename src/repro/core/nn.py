@@ -22,11 +22,14 @@ with.
 Weights may be *views into a shared weight bank* (MHAS / ENAS parameter
 sharing): layers are created through a factory so `mhas.py` can hand out
 bank-owned arrays that persist across sampled child models.
+
+The network's only serialized form is its pickle: each layer pickles its
+weights and bias and nothing of training, and Eq. 1's size(M) is the
+length of the pickled :class:`~repro.core.model.MappingModel` around it.
 """
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -186,7 +189,6 @@ class MultiTaskMLP:
         for i, h in enumerate(self.spec.shared):
             self.shared.append(mk("shared", i, d, h, rng))
             d = h
-        self._trunk_out = d
 
         self.heads: dict[str, list[_Dense]] = {}
         for task, nc in self.n_classes.items():
@@ -419,25 +421,3 @@ class MultiTaskMLP:
     def nbytes_resident(self) -> int:
         """In-memory float32 parameter bytes (what the pool must hold)."""
         return sum(l.nbytes for l in self.all_layers())
-
-    def nbytes_stored(self) -> int:
-        """At-rest serialized size — counts toward Eq. 1's size(M)."""
-        return len(self.to_bytes())
-
-    def to_bytes(self) -> bytes:
-        blob = {
-            "input_dim": self.input_dim,
-            "spec": (self.spec.shared, self.spec.private),
-            "n_classes": self.n_classes,
-            "params": [(l.w, l.b) for l in self.all_layers()],
-        }
-        return pickle.dumps(blob, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "MultiTaskMLP":
-        blob = pickle.loads(data)
-        spec = ArchSpec(tuple(blob["spec"][0]), {k: tuple(v) for k, v in blob["spec"][1].items()})
-        m = MultiTaskMLP(blob["input_dim"], spec, blob["n_classes"])
-        for lyr, (w, b) in zip(m.all_layers(), blob["params"]):
-            lyr.w, lyr.b = w, b
-        return m

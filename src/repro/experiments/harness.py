@@ -79,6 +79,14 @@ class ExperimentConfig:
     dm_arch: ArchSpec = ArchSpec((128,), {})
     dm_train: TrainConfig = TrainConfig()
 
+    def pool(self, raw_bytes: int) -> MemoryPool:
+        """A fresh pool for a store over ``raw_bytes`` of uncompressed
+        data: ``pool_fraction`` of them, at least 64 KB, or unbounded."""
+        budget = None
+        if self.pool_fraction is not None:
+            budget = max(1 << 16, int(raw_bytes * self.pool_fraction))
+        return MemoryPool(budget, io_bandwidth=self.io_bandwidth)
+
 
 class _StoreAdapter:
     """Uniform facade: lookup_batch(raw key tuples) → value dict."""
@@ -196,10 +204,7 @@ def run_lookup_experiment(
     # one shared MHAS/model across DM variants would be fair; each DM variant
     # trains its own identical-config model here (deterministic seed → same net)
     for method in methods:
-        budget = None
-        if cfg.pool_fraction is not None:
-            budget = max(1 << 16, int(raw_bytes * cfg.pool_fraction))
-        pool = MemoryPool(budget, io_bandwidth=cfg.io_bandwidth)
+        pool = cfg.pool(raw_bytes)
         adapter = build_method(
             method, workload, pdf, os.path.join(workdir, method), pool=pool, cfg=cfg
         )

@@ -17,7 +17,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from .. import synth_data as sd
-from ..baselines.memory_pool import MemoryPool
 from ..core.deepmapping import DeepMapping, DeepMappingConfig
 from ..workloads.datasets import REGISTRY, uncompressed_nbytes
 from ..workloads.queries import random_key_batch
@@ -235,13 +234,9 @@ def run_modification_experiment(
             partition_bytes=cfg.partition_bytes,
         )
         raw0 = uncompressed_nbytes(base[list(wl.key_cols) + list(wl.value_cols)])
-        budget = None
-        if cfg.pool_fraction is not None:
-            budget = max(1 << 16, int(raw0 * cfg.pool_fraction))
         dms[m] = DeepMapping.build(
             base, list(wl.key_cols), list(wl.value_cols), dm_cfg,
-            workdir=os.path.join(workdir, m), key_space=ks,
-            pool=MemoryPool(budget, io_bandwidth=cfg.io_bandwidth),
+            workdir=os.path.join(workdir, m), key_space=ks, pool=cfg.pool(raw0),
         )
 
     rows: list[dict] = []
@@ -281,12 +276,9 @@ def run_modification_experiment(
                 )
             else:
                 raw = uncompressed_nbytes(current[list(wl.key_cols) + list(wl.value_cols)])
-                budget = None
-                if cfg.pool_fraction is not None:
-                    budget = max(1 << 16, int(raw * cfg.pool_fraction))
-                pool = MemoryPool(budget, io_bandwidth=cfg.io_bandwidth)
                 adapter = build_method(
-                    m, wl, current, os.path.join(workdir, f"{m}-s{step}"), pool=pool, cfg=cfg
+                    m, wl, current, os.path.join(workdir, f"{m}-s{step}"),
+                    pool=cfg.pool(raw), cfg=cfg,
                 )
                 t0 = time.perf_counter()
                 adapter.lookup(qkeys)

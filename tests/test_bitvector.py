@@ -85,14 +85,14 @@ def test_negative_size_raises():
 def test_serialization_roundtrip():
     bv = BitVector(777)
     bv.set(np.array([0, 1, 500, 776]))
-    bv2 = BitVector.from_bytes(bv.to_bytes(), 777)
+    bv2 = BitVector.from_raw(bv.raw_bytes(), 777)
     assert bv2.set_indices().tolist() == bv.set_indices().tolist()
 
 
 def test_from_bytes_size_mismatch():
     bv = BitVector(64)
     with pytest.raises(ValueError):
-        BitVector.from_bytes(bv.to_bytes(), 1024)
+        BitVector.from_raw(bv.raw_bytes(), 1024)
 
 
 def test_stored_smaller_than_resident_for_sparse():

@@ -168,6 +168,23 @@ class TestCompositeKey:
         miss = d.lookup(np.array([[n_o + 1, 1]]))
         assert miss["v"][0] is None
 
+    def test_wrong_arity_raises(self, tmp_path):
+        """A key with the wrong number of components is an error, whether
+        or not its leading components fall inside the domain."""
+        keys = np.array([[o, l] for o in range(1, 51) for l in range(1, 5)])
+        df = pd.DataFrame({"ok": keys[:, 0], "ln": keys[:, 1], "v": keys[:, 0] % 3})
+        d = DeepMapping.build(
+            df, ["ok", "ln"], ["v"],
+            DeepMappingConfig(arch=ArchSpec((8,), {}), train=TrainConfig(epochs=1)),
+            workdir=str(tmp_path),
+        )
+        for bad in (np.array([1, 2, 3]), np.array([[999, 999, 1]])):
+            with pytest.raises(ValueError, match="key components"):
+                d.lookup(bad)
+            with pytest.raises(ValueError, match="key components"):
+                d.delete(bad)
+        assert d.lookup(keys)["v"].tolist() == df["v"].tolist()
+
 
 class TestRangeQuery:
     def test_range_matches_pandas(self, dm):
@@ -220,8 +237,8 @@ class TestSerialization:
         d.accuracy_on(df)
         assert size() == before
         # the build sweep ran inference too: the model holds no attribute a
-        # model restored from its stored bytes lacks
-        fresh = MappingModel.from_bytes(d.model.to_bytes())
+        # freshly constructed model lacks
+        fresh = MappingModel(d.model.input_dim, ArchSpec((16,), {}), d.model.col_classes)
         assert vars(d.model).keys() == vars(fresh).keys()
         assert vars(d.model.net).keys() == vars(fresh.net).keys()
         assert vars(d.key_space) == vars(KeySpace(d.key_space.lows, d.key_space.cards))
@@ -233,9 +250,25 @@ def test_model_pickle_holds_no_training_state(dm):
     import pickle
     d, _ = dm
     assert all(lyr.adam is not None for lyr in d.model.net.all_layers())
-    assert len(pickle.dumps(d.model)) <= 1.1 * d.model.nbytes_stored()
+    assert len(pickle.dumps(d.model)) <= 1.1 * d.model.nbytes_resident()
     restored = pickle.loads(pickle.dumps(d.model))
     assert all(lyr.adam is None for lyr in restored.net.all_layers())
+
+
+def test_model_size_is_its_pickle(tmp_path):
+    """Eq. 1's size(M) is the pickled model, before and after a retrain."""
+    import pickle
+    d = DeepMapping.build(
+        _relation(500), ["key"], ["easy", "hard", "txt"],
+        DeepMappingConfig(arch=ArchSpec((16,), {}), train=TrainConfig(epochs=2)),
+        workdir=str(tmp_path),
+    )
+    def pickled():
+        return len(pickle.dumps(d.model, protocol=pickle.HIGHEST_PROTOCOL))
+
+    assert d.storage_breakdown()["model"] == pickled()
+    d.retrain()
+    assert d.storage_breakdown()["model"] == pickled()
 
 
 class _Frames:

@@ -1,10 +1,12 @@
 """Tests for MappingModel's digit-decomposed high-cardinality heads and
 for ``train_model``, which featurizes one mini-batch at a time."""
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import model
 from repro.core.encoding import KeySpace
 from repro.core.model import DIGIT_THRESHOLD, MappingModel, TrainConfig, train_model
 from repro.core.nn import ArchSpec
@@ -61,12 +63,12 @@ def test_predict_codes_within_dictionary():
     assert (pred >= 0).all() and (pred < 300).all()
 
 
-def test_model_params_much_smaller_than_onehot_head():
+def test_model_params_much_smaller_than_onehot_head(monkeypatch):
     ks, _ = _x()
     split = MappingModel(ks.input_dim, ArchSpec((64,), {}), {"big": 5000})
-    direct = MappingModel(
-        ks.input_dim, ArchSpec((64,), {}), {"big": 5000}, digit_threshold=10**9
-    )
+    monkeypatch.setattr(model, "DIGIT_THRESHOLD", 10**9)
+    direct = MappingModel(ks.input_dim, ArchSpec((64,), {}), {"big": 5000})
+    assert direct._digits["big"] == 0
     assert split.n_params < direct.n_params / 5
 
 
@@ -86,7 +88,7 @@ def test_fit_memorizes_digit_structured_high_cardinality():
 def test_bytes_roundtrip():
     ks, x = _x(100)
     m = MappingModel(ks.input_dim, ArchSpec((8,), {"big": (4,)}), {"big": 500, "s": 3})
-    m2 = MappingModel.from_bytes(m.to_bytes())
+    m2 = pickle.loads(pickle.dumps(m))
     p1, p2 = m.predict(*_hot(ks, 20)), m2.predict(*_hot(ks, 20))
     assert (p1["big"] == p2["big"]).all() and (p1["s"] == p2["s"]).all()
     assert m2._digits == m._digits
