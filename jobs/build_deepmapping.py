@@ -5,14 +5,14 @@ breakdown (the data behind paper Fig. 6).
 
 spark-submit jobs/build_deepmapping.py --workload tpch_orders --sf 0.05 --mhas
 """
-from _common import get_spark, make_parser, workdir_of
+from dataclasses import replace
 
+from _common import get_spark, make_parser, workdir_of
 
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig
 from repro.core.mhas import MHASConfig, mhas_search
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
-from repro.core.encoding import LabelCodec
 from repro.workloads.datasets import get_workload, uncompressed_nbytes
 
 
@@ -26,30 +26,25 @@ def main() -> None:
     wl = get_workload(args.workload)
     pdf = wl.pandas(spark, args.sf)
     ks = wl.key_space(pdf)
+    key_cols, value_cols = list(wl.key_cols), list(wl.value_cols)
+    raw = uncompressed_nbytes(pdf[key_cols + value_cols])  # size(D) in Eq. 1
 
-    arch = ArchSpec((128,), {})
+    cfg = DeepMappingConfig(arch=ArchSpec((128,), {}), train=TrainConfig(), codec=args.codec)
     if args.mhas:
-        dense = ks.dense_index(pdf[list(wl.key_cols)].to_numpy())
-        codecs = {c: LabelCodec(pdf[c]) for c in wl.value_cols}
-        codes = {c: codecs[c].encode(pdf[c]) for c in wl.value_cols}
-        n_classes = {c: codecs[c].n_classes for c in wl.value_cols}
         res = mhas_search(
-            ks, dense, codes, n_classes,
-            uncompressed_nbytes(pdf), MHASConfig(n_iterations=30),
+            pdf, key_cols, value_cols, raw, MHASConfig(n_iterations=30),
+            config=cfg, key_space=ks,
         )
-        arch = res.best_arch
-        print(f"MHAS best arch: {arch} (estimated ratio {res.best_ratio:.4f})")
+        cfg = replace(cfg, arch=res.best_arch)
+        print(f"MHAS best arch: {res.best_arch} (ratio {res.best_ratio:.4f})")
 
-    cfg = DeepMappingConfig(arch=arch, train=TrainConfig(), codec=args.codec)
     dm = DeepMapping.build(
-        pdf, list(wl.key_cols), list(wl.value_cols), cfg,
-        workdir=workdir_of(args), key_space=ks,
+        pdf, key_cols, value_cols, cfg, workdir=workdir_of(args), key_space=ks,
     )
     bd = dm.storage_breakdown()
-    raw = uncompressed_nbytes(pdf[list(wl.key_cols) + list(wl.value_cols)])
     print(f"workload={wl.name} rows={len(pdf)} raw_bytes={raw}")
     print(f"storage breakdown: {bd}")
-    print(f"total={sum(bd.values())} compression_ratio={sum(bd.values())/raw:.4f}")
+    print(f"total={dm.nbytes_disk} compression_ratio={dm.compression_ratio(raw):.4f}")
     print(f"memorized_fraction={dm.memorized_fraction:.3f}")
 
 

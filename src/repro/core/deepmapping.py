@@ -3,7 +3,8 @@
 ``DeepMapping = ⟨M, T_aux, V_exist, f_decode⟩``:
 
 * ``M``       — multi-task MLP memorizing key→value mappings (nn.py),
-* ``T_aux``   — per-column compressed store of misclassified mappings,
+* ``T_aux``   — row-level, keyless compressed store of the misclassified
+  tuples (aux_table.py),
 * ``V_exist`` — existence bit vector over the dense key space,
 * ``f_decode``— per-column dictionary decoding maps.
 
@@ -41,6 +42,7 @@ from .nn import ArchSpec
 
 __all__ = [
     "DeepMappingConfig", "DeepMapping", "LookupStats", "predict_codes", "misclassified",
+    "encode_relation",
 ]
 
 @dataclass(frozen=True)
@@ -379,6 +381,19 @@ class DeepMapping:
         }
 
 
+def encode_relation(
+    df: pd.DataFrame, ks: KeySpace, key_cols: list[str], value_cols: list[str]
+) -> tuple[np.ndarray, dict[str, LabelCodec], dict[str, np.ndarray]]:
+    """(dense keys, codecs, codes) of a relation whose key columns identify
+    its rows. Build, retrain and MHAS encode through this routine."""
+    dense = ks.dense_index(df[key_cols].to_numpy())
+    if len(np.unique(dense)) != len(dense):
+        raise ValueError("key columns do not uniquely identify rows")
+    codecs = {c: LabelCodec(df[c]) for c in value_cols}
+    codes = {c: codecs[c].encode(df[c]) for c in value_cols}
+    return dense, codecs, codes
+
+
 def _fit(
     df: pd.DataFrame,
     ks: KeySpace,
@@ -390,11 +405,7 @@ def _fit(
     """Encode a relation, train the model unless one is given, and sweep
     every key through it: (dense keys, codecs, model, T_aux keys, T_aux
     codes). Build and retrain share this routine."""
-    dense = ks.dense_index(df[key_cols].to_numpy())
-    if len(np.unique(dense)) != len(dense):
-        raise ValueError("key columns do not uniquely identify rows")
-    codecs = {c: LabelCodec(df[c]) for c in value_cols}
-    codes = {c: codecs[c].encode(df[c]) for c in value_cols}
+    dense, codecs, codes = encode_relation(df, ks, key_cols, value_cols)
     if model is None:
         n_classes = {c: codecs[c].n_classes for c in value_cols}
         model = train_model(ks, dense, codes, n_classes, config.arch, config.train)

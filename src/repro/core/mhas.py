@@ -12,6 +12,9 @@ hidden layers per task, each layer's width chosen from a size grid
   ``(size(M)+size(T_aux)+size(V_exist)+size(f_decode)) / size(D)``
   (reward = −ratio, exponential-moving-average baseline). Implemented in
   numpy (forward + full BPTT) since no NN framework is installed.
+* **Eq. 1 score** — :func:`eq1_ratio` is the ratio of the structure
+  ``DeepMapping.build`` makes around a sampled child: its real sweep,
+  ``T_aux``, pickled model, ``V_exist`` and ``f_decode``.
 * **Shared weight bank** — sampled child models draw their layers from a
   bank keyed by (scope, slot, fan-in, fan-out), so weights persist across
   sampled architectures (ENAS parameter sharing; also the mechanism that
@@ -22,15 +25,18 @@ hidden layers per task, each layer's width chosen from a size grid
 """
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 
+from .deepmapping import DeepMapping, DeepMappingConfig, encode_relation
 from .encoding import KeySpace
 from .model import MappingModel
 from .nn import ArchSpec, _Dense, softmax
 
-__all__ = ["MHASConfig", "MHASResult", "mhas_search", "WeightBank", "estimate_ratio"]
+__all__ = ["MHASConfig", "MHASResult", "mhas_search", "WeightBank", "eq1_ratio"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,6 @@ class MHASConfig:
     controller_lr: float = 3.5e-4  # paper Sec. V-A.6
     controller_hidden: int = 64  # paper Sec. V-A.6
     controller_samples: int = 4  # architectures sampled per controller step
-    reward_rows: int = 8192  # rows sampled for the Eq. 1 accuracy estimate
-    aux_bytes_per_entry: float = 7.0  # compressed (key, code) pair estimate
     baseline_decay: float = 0.8
     seed: int = 0
 
@@ -84,33 +88,19 @@ class WeightBank:
 # --------------------------------------------------------------------------
 # Eq. 1 objective
 # --------------------------------------------------------------------------
-def estimate_ratio(
-    model: MappingModel,
-    key_space: KeySpace,
-    dense_keys: np.ndarray,
-    codes: dict[str, np.ndarray],
-    data_bytes: int,
-    *,
-    vexist_bytes: int,
-    fdecode_bytes: int,
-    sample_rows: int = 8192,
-    aux_bytes_per_entry: float = 7.0,
-    rng: np.random.Generator | None = None,
+def eq1_ratio(
+    model: MappingModel, df: pd.DataFrame, key_cols: list[str], value_cols: list[str],
+    data_bytes: int, *, config: DeepMappingConfig, key_space: KeySpace,
 ) -> float:
-    """Eq. 1 on a row sample: model accuracy per column estimates the
-    auxiliary table's entry count (full T_aux builds are too expensive to
-    run per controller sample; the estimator is linear in the miss rate,
-    matching how T_aux size actually scales)."""
-    n = len(dense_keys)
-    rng = rng or np.random.default_rng(0)
-    idx = rng.choice(n, size=min(sample_rows, n), replace=False)
-    pred = model.predict(key_space.hot_positions(dense_keys[idx]), key_space.blocks)
-    aux_est = 0.0
-    for c, y in codes.items():
-        miss = float((pred[c] != y[idx]).mean())
-        aux_est += miss * n * aux_bytes_per_entry
-    size = model.nbytes_resident() + aux_est + vexist_bytes + fdecode_bytes
-    return size / max(1, data_bytes)
+    """Eq. 1 of the structure ``DeepMapping.build`` makes around ``model``
+    over the whole relation, in a temporary directory removed once the
+    structure is sized. ``data_bytes`` is size(D)."""
+    with tempfile.TemporaryDirectory(prefix="mhas-") as workdir:
+        dm = DeepMapping.build(
+            df, key_cols, value_cols, config,
+            workdir=workdir, key_space=key_space, model=model,
+        )
+        return dm.compression_ratio(data_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +121,7 @@ class LSTMController:
 
     EMB = 24
 
-    def __init__(self, cfg: MHASConfig, n_tasks: int, seed: int = 0):
+    def __init__(self, cfg: MHASConfig, seed: int = 0):
         self.cfg = cfg
         H, E = cfg.controller_hidden, self.EMB
         rng = np.random.default_rng(seed)
@@ -145,9 +135,10 @@ class LSTMController:
             "b": np.zeros(4 * H),
             "start": init(E),
         }
-        self._types: dict[str, int] = {}  # type name -> n_choices
-        self._register("n_layers", max(cfg.max_shared, cfg.max_private) + 1)
-        self._register("size", len(cfg.size_grid))
+        self._types: dict[str, int] = {  # type name -> n_choices
+            "n_layers": max(cfg.max_shared, cfg.max_private) + 1,
+            "size": len(cfg.size_grid),
+        }
         for name, n in self._types.items():
             self.params[f"emb:{name}"] = init(n, E)
             self.params[f"Wo:{name}"] = init(self.cfg.controller_hidden, n)
@@ -155,9 +146,6 @@ class LSTMController:
         self._adam = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in self.params.items()}
         self._t = 0
         self.baseline: float | None = None
-
-    def _register(self, name: str, n_choices: int) -> None:
-        self._types[name] = n_choices
 
     # -- one forward pass, sampling a full decision sequence ---------------
     def sample(self, n_tasks: int, rng: np.random.Generator, greedy: bool = False):
@@ -284,42 +272,36 @@ class LSTMController:
 # Algorithm 2
 # --------------------------------------------------------------------------
 def mhas_search(
-    key_space: KeySpace,
-    dense_keys: np.ndarray,
-    codes: dict[str, np.ndarray],
-    n_classes: dict[str, int],
+    df: pd.DataFrame,
+    key_cols: list[str],
+    value_cols: list[str],
     data_bytes: int,
     cfg: MHASConfig = MHASConfig(),
     *,
-    vexist_bytes: int | None = None,
-    fdecode_bytes: int = 0,
+    config: DeepMappingConfig = DeepMappingConfig(),
+    key_space: KeySpace | None = None,
 ) -> MHASResult:
-    """Run the MHAS loop and return the best architecture found.
-
-    ``data_bytes`` is size(D) in Eq. 1. The returned architecture is then
-    trained from scratch by ``DeepMapping.build`` (the paper's post-search
-    fine-tuning)."""
-    tasks = list(n_classes)
+    """Run the MHAS loop over a relation and return the best architecture
+    found. Children are scored by :func:`eq1_ratio` with ``config``;
+    ``data_bytes`` is size(D). The returned architecture is then trained
+    from scratch by ``DeepMapping.build`` (post-search fine-tuning)."""
+    tasks = list(value_cols)
+    key_space = key_space or KeySpace.from_columns(df, key_cols)
+    dense_keys, codecs, codes = encode_relation(df, key_space, key_cols, value_cols)
+    n_classes = {c: codecs[c].n_classes for c in tasks}
     rng = np.random.default_rng(cfg.seed)
     bank = WeightBank(seed=cfg.seed)
-    controller = LSTMController(cfg, n_tasks=len(tasks), seed=cfg.seed)
-    dense_keys = np.asarray(dense_keys, dtype=np.int64)
-    codes = {c: np.asarray(v, dtype=np.int64) for c, v in codes.items()}
+    controller = LSTMController(cfg, seed=cfg.seed)
     n = len(dense_keys)
-    if vexist_bytes is None:
-        vexist_bytes = key_space.size // 8 // 4  # compressed bitmap estimate
 
     def make_child(arch: ArchSpec) -> MappingModel:
         return MappingModel(
             key_space.input_dim, arch, n_classes, seed=cfg.seed, layer_factory=bank.factory
         )
 
-    def ratio_of(model: MultiTaskMLP) -> float:
-        return estimate_ratio(
-            model, key_space, dense_keys, codes, data_bytes,
-            vexist_bytes=vexist_bytes, fdecode_bytes=fdecode_bytes,
-            sample_rows=cfg.reward_rows,
-            aux_bytes_per_entry=cfg.aux_bytes_per_entry, rng=rng,
+    def ratio_of(model: MappingModel) -> float:
+        return eq1_ratio(
+            model, df, key_cols, value_cols, data_bytes, config=config, key_space=key_space
         )
 
     result = MHASResult(best_arch=ArchSpec((cfg.size_grid[0],), {}), best_ratio=np.inf)

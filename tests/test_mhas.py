@@ -1,25 +1,33 @@
 """Tests for the MHAS architecture search (repro.core.mhas)."""
-import numpy as np
+import os
 
+import numpy as np
+import pandas as pd
+
+from repro.core import mhas
+from repro.core.deepmapping import DeepMapping, DeepMappingConfig, encode_relation
 from repro.core.encoding import KeySpace
-from repro.core.mhas import (
-    LSTMController, MHASConfig, WeightBank, estimate_ratio, mhas_search,
-)
+from repro.core.mhas import LSTMController, MHASConfig, WeightBank, eq1_ratio, mhas_search
+from repro.core.model import MappingModel, TrainConfig, train_model
 from repro.core.nn import ArchSpec, MultiTaskMLP
 
 CFG = MHASConfig(
     size_grid=(8, 16, 32), n_iterations=8, n_model_train=6, n_controller_train=2,
-    controller_samples=2, reward_rows=512, child_batch=256,
+    controller_samples=2, child_batch=256,
 )
+KEYS, VALS = ["k"], ["a", "b"]
+DM_CFG = DeepMappingConfig()
 
 
 def _data(n=800):
-    ks = KeySpace((1,), (n,))
     keys = np.arange(1, n + 1)
-    dense = ks.dense_index(keys)
-    codes = {"a": (keys - 1) % 10 % 5, "b": ((keys - 1) // 10) % 10 % 3}
-    n_classes = {"a": 5, "b": 3}
-    return ks, dense, codes, n_classes
+    df = pd.DataFrame({"k": keys, "a": (keys - 1) % 10 % 5, "b": ((keys - 1) // 10) % 10 % 3})
+    return df, KeySpace((1,), (n,))
+
+
+def _encoded(df, ks):
+    dense, codecs, codes = encode_relation(df, ks, KEYS, VALS)
+    return dense, codes, {c: codecs[c].n_classes for c in VALS}
 
 
 class TestWeightBank:
@@ -38,7 +46,8 @@ class TestWeightBank:
         assert l1 is not l2 and len(bank) == 2
 
     def test_children_share_trained_weights(self):
-        ks, dense, codes, n_classes = _data(200)
+        df, ks = _data(200)
+        dense, codes, n_classes = _encoded(df, ks)
         bank = WeightBank()
         spec = ArchSpec((8,), {})
         m1 = MultiTaskMLP(ks.input_dim, spec, n_classes, layer_factory=bank.factory)
@@ -51,7 +60,7 @@ class TestWeightBank:
 
 class TestController:
     def test_sample_decisions_well_formed(self):
-        c = LSTMController(CFG, n_tasks=2)
+        c = LSTMController(CFG)
         rng = np.random.default_rng(0)
         decisions, steps = c.sample(2, rng)
         assert len(decisions) == len(steps)
@@ -59,7 +68,7 @@ class TestController:
         assert 0 <= n_shared <= CFG.max_shared
 
     def test_decisions_to_arch(self):
-        c = LSTMController(CFG, n_tasks=2)
+        c = LSTMController(CFG)
         rng = np.random.default_rng(1)
         decisions, _ = c.sample(2, rng)
         arch = c.decisions_to_arch(decisions, ["a", "b"])
@@ -70,14 +79,14 @@ class TestController:
             assert all(s in CFG.size_grid for s in sizes)
 
     def test_greedy_deterministic(self):
-        c = LSTMController(CFG, n_tasks=1)
+        c = LSTMController(CFG)
         rng = np.random.default_rng(0)
         d1, _ = c.sample(1, rng, greedy=True)
         d2, _ = c.sample(1, rng, greedy=True)
         assert d1 == d2
 
     def test_update_changes_params(self):
-        c = LSTMController(CFG, n_tasks=1)
+        c = LSTMController(CFG)
         rng = np.random.default_rng(0)
         before = c.params["Wx"].copy()
         traces = []
@@ -90,7 +99,7 @@ class TestController:
     def test_update_shifts_probability_toward_rewarded(self):
         """REINFORCE direction check: reward one arm, penalize the other."""
         cfg = MHASConfig(size_grid=(8, 16), controller_lr=0.1)
-        c = LSTMController(cfg, n_tasks=1)
+        c = LSTMController(cfg)
         rng = np.random.default_rng(0)
         # reward n_shared==0 strongly, penalize others, repeatedly
         for _ in range(30):
@@ -105,53 +114,77 @@ class TestController:
 
 
 class TestObjective:
-    def test_estimate_ratio_positive(self):
-        ks, dense, codes, n_classes = _data(400)
-        m = MultiTaskMLP(ks.input_dim, ArchSpec((8,), {}), n_classes)
-        r = estimate_ratio(
-            m, ks, dense, {c: v.astype(np.int64) for c, v in codes.items()},
-            data_bytes=400 * 24, vexist_bytes=50, fdecode_bytes=20, sample_rows=256,
-        )
+    def test_eq1_ratio_positive(self):
+        df, ks = _data(400)
+        dense, codes, n_classes = _encoded(df, ks)
+        m = MappingModel(ks.input_dim, ArchSpec((8,), {}), n_classes)
+        r = eq1_ratio(m, df, KEYS, VALS, 400 * 24, config=DM_CFG, key_space=ks)
         assert r > 0
 
+    def test_score_is_built_structure_ratio(self, tmp_path):
+        """A child's score is Eq. 1 of the structure built around it."""
+        df, ks = _data(500)
+        dense, codes, n_classes = _encoded(df, ks)
+        child = train_model(ks, dense, codes, n_classes, ArchSpec((16,), {}),
+                            TrainConfig(epochs=3, batch_size=128))
+        score = eq1_ratio(child, df, KEYS, VALS, 500 * 24, config=DM_CFG, key_space=ks)
+        dm = DeepMapping.build(df, KEYS, VALS, DM_CFG, workdir=str(tmp_path),
+                               key_space=ks, model=child)
+        assert score == dm.nbytes_disk / (500 * 24)
+
     def test_perfect_model_lower_ratio_than_random(self):
-        ks, dense, codes, n_classes = _data(600)
-        y = {c: v.astype(np.int64) for c, v in codes.items()}
-        x = ks.features_from_dense(dense)
-        good = MultiTaskMLP(ks.input_dim, ArchSpec((32,), {}), n_classes, seed=0)
-        good.fit(x, y, epochs=40, batch_size=128, tol=0.0)
-        bad = MultiTaskMLP(ks.input_dim, ArchSpec((32,), {}), n_classes, seed=1)
-        args = dict(data_bytes=600 * 24, vexist_bytes=50, fdecode_bytes=20,
-                    sample_rows=600)
-        assert estimate_ratio(good, ks, dense, y, **args) < estimate_ratio(
-            bad, ks, dense, y, **args
+        df, ks = _data(600)
+        dense, codes, n_classes = _encoded(df, ks)
+        good = train_model(ks, dense, codes, n_classes, ArchSpec((32,), {}),
+                           TrainConfig(epochs=40, batch_size=128, tol=0.0))
+        bad = MappingModel(ks.input_dim, ArchSpec((32,), {}), n_classes, seed=1)
+        args = dict(config=DM_CFG, key_space=ks)
+        assert eq1_ratio(good, df, KEYS, VALS, 600 * 24, **args) < eq1_ratio(
+            bad, df, KEYS, VALS, 600 * 24, **args
         )
 
 
 class TestSearch:
     def test_search_returns_valid_arch(self):
-        ks, dense, codes, n_classes = _data(400)
-        res = mhas_search(ks, dense, codes, n_classes, data_bytes=400 * 24, cfg=CFG)
+        df, ks = _data(400)
+        res = mhas_search(df, KEYS, VALS, 400 * 24, CFG, key_space=ks)
         assert isinstance(res.best_arch, ArchSpec)
         assert np.isfinite(res.best_ratio)
         assert len(res.history) >= CFG.controller_samples
 
     def test_search_history_contains_sampled_ratios(self):
-        ks, dense, codes, n_classes = _data(300)
-        res = mhas_search(ks, dense, codes, n_classes, data_bytes=300 * 24, cfg=CFG)
+        df, _ = _data(300)
+        res = mhas_search(df, KEYS, VALS, 300 * 24, CFG)
         ratios = [r for _, r, _ in res.history]
         assert min(ratios) == res.best_ratio
 
+    def test_search_scores_are_built_ratios(self, monkeypatch):
+        """Every score in the history is a built structure's Eq. 1, and each
+        scoring build's directory is gone after the search."""
+        df, ks = _data(300)
+        built, real_build = [], DeepMapping.build
+
+        def build(*args, workdir, **kw):
+            dm = real_build(*args, workdir=workdir, **kw)
+            built.append((workdir, dm.nbytes_disk))
+            return dm
+
+        monkeypatch.setattr(mhas.DeepMapping, "build", staticmethod(build))
+        res = mhas_search(df, KEYS, VALS, 300 * 24, CFG, key_space=ks)
+        assert [r for _, r, _ in res.history] == [b / (300 * 24) for _, b in built]
+        assert not any(os.path.exists(w) for w, _ in built)
+
     def test_search_best_trains_to_low_ratio(self):
         """End to end: the searched arch memorizes digit-function data."""
-        ks, dense, codes, n_classes = _data(600)
+        df, ks = _data(600)
         cfg = MHASConfig(size_grid=(16, 32), n_iterations=12, n_model_train=10,
                          n_controller_train=3, controller_samples=2,
-                         reward_rows=600, child_batch=128, child_epochs=2)
-        res = mhas_search(ks, dense, codes, n_classes, data_bytes=600 * 24, cfg=cfg)
+                         child_batch=128, child_epochs=2)
+        res = mhas_search(df, KEYS, VALS, 600 * 24, cfg, key_space=ks)
+        dense, y, n_classes = _encoded(df, ks)
         m = MultiTaskMLP(ks.input_dim, res.best_arch, n_classes, seed=0)
         x = ks.features_from_dense(dense)
-        y = {c: v.astype(np.int64) for c, v in codes.items()}
+        y = {c: v.astype(np.int64) for c, v in y.items()}
         # small searched archs (possibly linear) need a higher lr to converge
         m.fit(x, y, epochs=120, batch_size=128, lr=1e-2, tol=0.0)
         pred = m.predict(ks.hot_positions(dense), ks.blocks)
