@@ -8,37 +8,13 @@ import tempfile
 from pyspark.sql import SparkSession
 
 
-def make_parser(desc: str, default_sf: float = 0.05) -> argparse.ArgumentParser:
+def make_parser(desc: str) -> argparse.ArgumentParser:
+    """The deployment settings every table job takes; a table's experiment
+    settings are the defaults of its function in ``repro.experiments.tables``."""
     p = argparse.ArgumentParser(description=desc)
-    p.add_argument("--sf", type=float, default=default_sf, help="scale factor")
     p.add_argument("--workdir", default=None, help="partition-store directory")
     p.add_argument("--out", default=None, help="write the markdown table here")
-    p.add_argument("--epochs", type=int, default=None, help="DM training epochs")
-    p.add_argument("--train-batch", type=int, default=None, help="DM training batch size")
-    p.add_argument("--repeats", type=int, default=None, help="latency repeats per batch")
-    p.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=None, help="lookup batch sizes"
-    )
     return p
-
-
-def experiment_config(args, *, pool_fraction, default_batches=(100, 1000, 10000)):
-    """Assemble an ExperimentConfig from job CLI args."""
-    from repro.core.model import TrainConfig
-    from repro.core.nn import ArchSpec
-    from repro.experiments.harness import ExperimentConfig
-
-    train = TrainConfig(
-        epochs=args.epochs if args.epochs is not None else 12,
-        batch_size=args.train_batch if args.train_batch is not None else 1024,
-    )
-    return ExperimentConfig(
-        batch_sizes=tuple(args.batch_sizes or default_batches),
-        pool_fraction=pool_fraction,
-        repeats=args.repeats if args.repeats is not None else 2,
-        dm_arch=ArchSpec((128,), {}),
-        dm_train=train,
-    )
 
 
 def get_spark(app: str) -> SparkSession:

@@ -5,22 +5,23 @@ breakdown (the data behind paper Fig. 6).
 
 spark-submit jobs/build_deepmapping.py --workload tpch_orders --sf 0.05 --mhas
 """
+import argparse
 from dataclasses import replace
 
-from _common import get_spark, make_parser, workdir_of
+from _common import get_spark, workdir_of
 
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig
 from repro.core.mhas import MHASConfig, mhas_search
-from repro.core.model import TrainConfig
-from repro.core.nn import ArchSpec
 from repro.workloads.datasets import get_workload, uncompressed_nbytes
 
 
 def main() -> None:
-    p = make_parser("Build a DeepMapping structure", default_sf=0.05)
+    p = argparse.ArgumentParser(description="Build a DeepMapping structure")
+    p.add_argument("--sf", type=float, default=0.05, help="scale factor")
     p.add_argument("--workload", default="tpch_orders")
     p.add_argument("--mhas", action="store_true", help="run MHAS architecture search")
     p.add_argument("--codec", default="z", choices=["z", "lzma"])
+    p.add_argument("--workdir", default=None, help="partition-store directory")
     args = p.parse_args()
     spark = get_spark("repro-build-dm")
     wl = get_workload(args.workload)
@@ -29,7 +30,7 @@ def main() -> None:
     key_cols, value_cols = list(wl.key_cols), list(wl.value_cols)
     raw = uncompressed_nbytes(pdf[key_cols + value_cols])  # size(D) in Eq. 1
 
-    cfg = DeepMappingConfig(arch=ArchSpec((128,), {}), train=TrainConfig(), codec=args.codec)
+    cfg = DeepMappingConfig(codec=args.codec)
     if args.mhas:
         res = mhas_search(
             pdf, key_cols, value_cols, raw, MHASConfig(n_iterations=30),

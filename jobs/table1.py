@@ -1,15 +1,14 @@
 """Reproduce paper Table I: offline storage size and lookup latency for
 datasets that exceed the memory pool (spark-submit jobs/table1.py)."""
-from _common import emit, experiment_config, get_spark, make_parser, workdir_of
+from _common import emit, get_spark, make_parser, workdir_of
 
 from repro.experiments.tables import table1
 
 
 def main() -> None:
-    args = make_parser("Table I — exceeds-memory lookup", default_sf=0.05).parse_args()
+    args = make_parser("Table I — exceeds-memory lookup").parse_args()
     spark = get_spark("repro-table1")
-    cfg = experiment_config(args, pool_fraction=0.3)
-    emit(table1(spark, workdir_of(args), sf=args.sf, cfg=cfg), args.out)
+    emit(table1(spark, workdir_of(args)), args.out)
 
 
 if __name__ == "__main__":

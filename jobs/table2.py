@@ -1,15 +1,14 @@
 """Reproduce paper Table II: storage and lookup latency for datasets that
 fit the memory pool (spark-submit jobs/table2.py)."""
-from _common import emit, experiment_config, get_spark, make_parser, workdir_of
+from _common import emit, get_spark, make_parser, workdir_of
 
 from repro.experiments.tables import table2
 
 
 def main() -> None:
-    args = make_parser("Table II — fits-memory lookup", default_sf=0.05).parse_args()
+    args = make_parser("Table II — fits-memory lookup").parse_args()
     spark = get_spark("repro-table2")
-    cfg = experiment_config(args, pool_fraction=None, default_batches=(10000,))
-    emit(table2(spark, workdir_of(args), sf=args.sf, cfg=cfg), args.out)
+    emit(table2(spark, workdir_of(args)), args.out)
 
 
 if __name__ == "__main__":

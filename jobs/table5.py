@@ -5,15 +5,9 @@ from repro.experiments.tables import table5
 
 
 def main() -> None:
-    p = make_parser("Table V — delete")
-    p.add_argument("--n-base", type=int, default=60_000)
-    p.add_argument("--batch-size", type=int, default=5000)
-    args = p.parse_args()
+    args = make_parser("Table V — delete").parse_args()
     spark = get_spark("repro-table5")
-    emit(
-        table5(spark, workdir_of(args), n_base=args.n_base, batch_size=args.batch_size),
-        args.out,
-    )
+    emit(table5(spark, workdir_of(args)), args.out)
 
 
 if __name__ == "__main__":

@@ -75,9 +75,6 @@ class MemoryPool:
         self._pinned[name] = int(nbytes)
         self._evict_to_budget()
 
-    def unpin(self, name: str) -> None:
-        self._pinned.pop(name, None)
-
     @property
     def pinned_bytes(self) -> int:
         return sum(self._pinned.values())

@@ -9,8 +9,10 @@
 * ``f_decode``— per-column dictionary decoding maps.
 
 Implements:
-* :meth:`DeepMapping.build` — trains (or accepts) the model, runs every
-  key through it, stores the misclassified mappings in ``T_aux``,
+* :meth:`DeepMapping.build` — encodes the relation
+  (:func:`encode_relation`), then :meth:`DeepMapping.build_encoded` trains
+  (or accepts) the model, runs every key through it and stores the
+  misclassified mappings in ``T_aux``,
 * :meth:`lookup` — Algorithm 1 (batch inference → existence check →
   auxiliary validation → decode); :meth:`lookup_arrays` is the same
   without the NULL-filled DataFrame edge,
@@ -37,8 +39,8 @@ from ..baselines.memory_pool import MemoryPool
 from .aux_table import AuxTable
 from .bitvector import BitVector
 from .encoding import KeySpace, LabelCodec, decode_map_bytes
-from .model import MappingModel, TrainConfig, train_model
-from .nn import ArchSpec
+from .model import MappingModel, train_model
+from .nn import ArchSpec, TrainConfig
 
 __all__ = [
     "DeepMappingConfig", "DeepMapping", "LookupStats", "predict_codes", "misclassified",
@@ -147,11 +149,30 @@ class DeepMapping:
         (the paper assumes the bit vector's "range corresponds to the key
         range"). ``model`` may be a pre-trained/MHAS-searched network.
         """
-        pool = pool if pool is not None else MemoryPool(None)
         ks = key_space or KeySpace.from_columns(df, key_cols)
-        dense, codecs, model, aux_keys, aux_codes = _fit(
-            df, ks, key_cols, value_cols, config, model
+        return DeepMapping.build_encoded(
+            encode_relation(df, ks, key_cols, value_cols), ks, key_cols, config,
+            workdir=workdir, pool=pool, model=model,
         )
+
+    @staticmethod
+    def build_encoded(
+        encoded: tuple[np.ndarray, dict[str, LabelCodec], dict[str, np.ndarray]],
+        key_space: KeySpace,
+        key_cols: list[str],
+        config: DeepMappingConfig = DeepMappingConfig(),
+        *,
+        workdir: str,
+        pool: MemoryPool | None = None,
+        model: MappingModel | None = None,
+    ) -> "DeepMapping":
+        """:meth:`build` from the ``(dense keys, codecs, codes)`` that
+        :func:`encode_relation` made of a relation over ``key_space``; the
+        value columns are the codecs'. MHAS encodes its relation once and
+        builds every child it scores this way."""
+        pool = pool if pool is not None else MemoryPool(None)
+        dense, codecs, codes = encoded
+        model, aux_keys, aux_codes = _fit(key_space, dense, codecs, codes, config, model)
         aux = AuxTable(
             workdir,
             codec=config.codec,
@@ -160,10 +181,10 @@ class DeepMapping:
         )
         aux.build(aux_keys, aux_codes)
 
-        vexist = BitVector(ks.size)
+        vexist = BitVector(key_space.size)
         vexist.set(dense)
         return DeepMapping(
-            ks, key_cols, value_cols, model, codecs, aux, vexist, config, workdir, pool
+            key_space, key_cols, list(codecs), model, codecs, aux, vexist, config, workdir, pool
         )
 
     def _pin_residents(self) -> None:
@@ -297,9 +318,10 @@ class DeepMapping:
         The paper triggers this offline when T_aux exceeds its threshold;
         model search (MHAS) is re-run separately — here we retrain the
         current architecture (DESIGN.md §6)."""
-        _, codecs, model, aux_keys, aux_codes = _fit(
-            self.materialize(), self.key_space, self.key_cols, self.value_cols, self.config
+        dense, codecs, codes = encode_relation(
+            self.materialize(), self.key_space, self.key_cols, self.value_cols
         )
+        model, aux_keys, aux_codes = _fit(self.key_space, dense, codecs, codes, self.config)
         self.aux.build(aux_keys, aux_codes)
         self.model = model
         self.codecs = codecs
@@ -369,17 +391,6 @@ class DeepMapping:
             return 1.0
         return 1.0 - self.aux.n_entries / n_exist
 
-    def accuracy_on(self, df: pd.DataFrame) -> dict[str, float]:
-        """Model-only accuracy per column over the rows of ``df`` (the
-        paper's 'model memorized N% of tuples' is their mean)."""
-        dense = self.key_space.dense_index(df[self.key_cols].to_numpy())
-        return {
-            c: 1.0 - float(misclassified(
-                self.model, self.key_space, dense, {c: self.codecs[c].encode(df[c])}
-            ).mean())
-            for c in self.value_cols
-        }
-
 
 def encode_relation(
     df: pd.DataFrame, ks: KeySpace, key_cols: list[str], value_cols: list[str]
@@ -395,19 +406,18 @@ def encode_relation(
 
 
 def _fit(
-    df: pd.DataFrame,
     ks: KeySpace,
-    key_cols: list[str],
-    value_cols: list[str],
+    dense: np.ndarray,
+    codecs: dict[str, LabelCodec],
+    codes: dict[str, np.ndarray],
     config: DeepMappingConfig,
     model: MappingModel | None = None,
-) -> tuple[np.ndarray, dict[str, LabelCodec], MappingModel, np.ndarray, dict[str, np.ndarray]]:
-    """Encode a relation, train the model unless one is given, and sweep
-    every key through it: (dense keys, codecs, model, T_aux keys, T_aux
-    codes). Build and retrain share this routine."""
-    dense, codecs, codes = encode_relation(df, ks, key_cols, value_cols)
+) -> tuple[MappingModel, np.ndarray, dict[str, np.ndarray]]:
+    """Train the model on an encoded relation unless one is given, and sweep
+    every key through it: (model, T_aux keys, T_aux codes). Build and
+    retrain share this routine."""
     if model is None:
-        n_classes = {c: codecs[c].n_classes for c in value_cols}
+        n_classes = {c: codec.n_classes for c, codec in codecs.items()}
         model = train_model(ks, dense, codes, n_classes, config.arch, config.train)
     wrong = misclassified(model, ks, dense, codes)
-    return dense, codecs, model, dense[wrong], {c: v[wrong] for c, v in codes.items()}
+    return model, dense[wrong], {c: v[wrong] for c, v in codes.items()}

@@ -13,8 +13,9 @@ hidden layers per task, each layer's width chosen from a size grid
   (reward = −ratio, exponential-moving-average baseline). Implemented in
   numpy (forward + full BPTT) since no NN framework is installed.
 * **Eq. 1 score** — :func:`eq1_ratio` is the ratio of the structure
-  ``DeepMapping.build`` makes around a sampled child: its real sweep,
-  ``T_aux``, pickled model, ``V_exist`` and ``f_decode``.
+  ``DeepMapping.build_encoded`` makes around a sampled child from the
+  relation encoded once per search: its real sweep, ``T_aux``, pickled
+  model, ``V_exist`` and ``f_decode``.
 * **Shared weight bank** — sampled child models draw their layers from a
   bank keyed by (scope, slot, fan-in, fan-out), so weights persist across
   sampled architectures (ENAS parameter sharing; also the mechanism that
@@ -32,7 +33,7 @@ import numpy as np
 import pandas as pd
 
 from .deepmapping import DeepMapping, DeepMappingConfig, encode_relation
-from .encoding import KeySpace
+from .encoding import KeySpace, LabelCodec
 from .model import MappingModel
 from .nn import ArchSpec, _Dense, softmax
 
@@ -89,16 +90,17 @@ class WeightBank:
 # Eq. 1 objective
 # --------------------------------------------------------------------------
 def eq1_ratio(
-    model: MappingModel, df: pd.DataFrame, key_cols: list[str], value_cols: list[str],
-    data_bytes: int, *, config: DeepMappingConfig, key_space: KeySpace,
+    model: MappingModel,
+    encoded: tuple[np.ndarray, dict[str, LabelCodec], dict[str, np.ndarray]],
+    key_cols: list[str], data_bytes: int, *, config: DeepMappingConfig, key_space: KeySpace,
 ) -> float:
-    """Eq. 1 of the structure ``DeepMapping.build`` makes around ``model``
-    over the whole relation, in a temporary directory removed once the
-    structure is sized. ``data_bytes`` is size(D)."""
+    """Eq. 1 of the structure ``DeepMapping.build_encoded`` makes around
+    ``model`` over the whole relation (as :func:`encode_relation` encoded it
+    over ``key_space``), in a temporary directory removed once the structure
+    is sized. ``data_bytes`` is size(D)."""
     with tempfile.TemporaryDirectory(prefix="mhas-") as workdir:
-        dm = DeepMapping.build(
-            df, key_cols, value_cols, config,
-            workdir=workdir, key_space=key_space, model=model,
+        dm = DeepMapping.build_encoded(
+            encoded, key_space, key_cols, config, workdir=workdir, model=model,
         )
         return dm.compression_ratio(data_bytes)
 
@@ -287,7 +289,8 @@ def mhas_search(
     from scratch by ``DeepMapping.build`` (post-search fine-tuning)."""
     tasks = list(value_cols)
     key_space = key_space or KeySpace.from_columns(df, key_cols)
-    dense_keys, codecs, codes = encode_relation(df, key_space, key_cols, value_cols)
+    encoded = encode_relation(df, key_space, key_cols, value_cols)
+    dense_keys, codecs, codes = encoded
     n_classes = {c: codecs[c].n_classes for c in tasks}
     rng = np.random.default_rng(cfg.seed)
     bank = WeightBank(seed=cfg.seed)
@@ -301,7 +304,7 @@ def mhas_search(
 
     def ratio_of(model: MappingModel) -> float:
         return eq1_ratio(
-            model, df, key_cols, value_cols, data_bytes, config=config, key_space=key_space
+            model, encoded, key_cols, data_bytes, config=config, key_space=key_space
         )
 
     result = MHASResult(best_arch=ArchSpec((cfg.size_grid[0],), {}), best_ratio=np.inf)

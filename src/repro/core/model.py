@@ -16,12 +16,11 @@ structure that the Spark path broadcasts.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import KeySpace
-from .nn import ArchSpec, MultiTaskMLP
+from .nn import ArchSpec, MultiTaskMLP, TrainConfig
 
 __all__ = ["TrainConfig", "MappingModel", "train_model"]
 
@@ -98,8 +97,10 @@ class MappingModel:
                 out[c] = np.minimum(code, self.col_classes[c] - 1).astype(np.int32)
         return out
 
-    def fit(self, x: np.ndarray, codes: dict[str, np.ndarray], **kw) -> list[float]:
-        return self.net.fit(x, self.split_labels(codes), **kw)
+    def fit(
+        self, x: np.ndarray, codes: dict[str, np.ndarray], cfg: TrainConfig = TrainConfig()
+    ) -> list[float]:
+        return self.net.fit(x, self.split_labels(codes), cfg)
 
     # -- delegation -------------------------------------------------------------
     @property
@@ -133,18 +134,6 @@ class _BatchFeatures:
         return self.key_space.features_from_dense(self.dense_keys[b])
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training hyper-parameters (paper Sec. V-A.6, scaled — DESIGN.md §6)."""
-
-    epochs: int = 30
-    batch_size: int = 512
-    lr: float = 1e-3
-    lr_decay: float = 0.999
-    seed: int = 0
-    tol: float = 1e-4
-
-
 def train_model(
     key_space: KeySpace,
     dense_keys: np.ndarray,
@@ -164,12 +153,7 @@ def train_model(
     model.fit(
         _BatchFeatures(key_space, np.asarray(dense_keys, dtype=np.int64)),
         {c: np.asarray(v, dtype=np.int64) for c, v in codes.items()},
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        lr_decay=cfg.lr_decay,
-        seed=cfg.seed,
-        tol=cfg.tol,
+        cfg,
     )
     return model
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ArchSpec", "MultiTaskMLP", "softmax", "INFER_BATCH", "INFER_WORKERS"]
+__all__ = ["ArchSpec", "TrainConfig", "MultiTaskMLP", "softmax", "INFER_BATCH", "INFER_WORKERS"]
 
 INFER_BATCH = 8192  # keys per forward pass at inference; set by measurement
 # threads that run one predict call, the caller included; set by measurement:
@@ -67,6 +67,18 @@ class ArchSpec:
         return ArchSpec(
             self.shared, {t: tuple(self.private.get(t, ())) for t in tasks}
         )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training hyper-parameters (paper Sec. V-A.6, scaled — DESIGN.md §6)."""
+
+    epochs: int = 30
+    batch_size: int = 512
+    lr: float = 1e-3
+    lr_decay: float = 0.999
+    seed: int = 0
+    tol: float = 1e-4
 
 
 class _Dense:
@@ -373,37 +385,28 @@ class MultiTaskMLP:
         return total_loss
 
     def fit(
-        self,
-        x: np.ndarray,
-        y: dict[str, np.ndarray],
-        *,
-        epochs: int = 20,
-        batch_size: int = 4096,
-        lr: float = 1e-3,
-        lr_decay: float = 0.999,
-        seed: int = 0,
-        tol: float = 1e-4,
+        self, x: np.ndarray, y: dict[str, np.ndarray], cfg: TrainConfig = TrainConfig()
     ) -> list[float]:
-        """Mini-batch training; stops early when the loss change < ``tol``
+        """Mini-batch training; stops early when the loss change < ``cfg.tol``
         (the paper's convergence criterion). Returns per-epoch losses.
 
         ``x`` is the feature matrix, or anything with ``len(x)`` whose
         ``x[b]`` gives the feature rows of the keys at positions ``b``; each
         batch's rows are read once, when the batch is drawn."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed)
         n = len(x)
         losses: list[float] = []
-        cur_lr = lr
-        for _ in range(epochs):
+        cur_lr = cfg.lr
+        for _ in range(cfg.epochs):
             order = rng.permutation(n)
             ep_loss, steps = 0.0, 0
-            for s in range(0, n, batch_size):
-                b = order[s : s + batch_size]
+            for s in range(0, n, cfg.batch_size):
+                b = order[s : s + cfg.batch_size]
                 ep_loss += self.train_batch(x[b], {t: v[b] for t, v in y.items()}, cur_lr)
                 steps += 1
-                cur_lr *= lr_decay
+                cur_lr *= cfg.lr_decay
             losses.append(ep_loss / max(1, steps))
-            if len(losses) >= 2 and abs(losses[-1] - losses[-2]) < tol:
+            if len(losses) >= 2 and abs(losses[-1] - losses[-2]) < cfg.tol:
                 break
         return losses
 

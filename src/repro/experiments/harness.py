@@ -33,8 +33,7 @@ from ..baselines.deepsqueeze import DeepSqueezeStore
 from ..baselines.hash_store import HashStore
 from ..baselines.memory_pool import MemoryPool
 from ..core.deepmapping import DeepMapping, DeepMappingConfig
-from ..core.model import TrainConfig
-from ..core.nn import ArchSpec
+from ..core.nn import ArchSpec, TrainConfig
 from ..workloads.datasets import Workload, uncompressed_nbytes
 from ..workloads.queries import random_key_batch
 

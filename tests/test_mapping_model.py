@@ -80,7 +80,7 @@ def test_fit_memorizes_digit_structured_high_cardinality():
     x = ks.features(keys)
     codes = {"big": ((keys - 1) % 100).astype(np.int64)}  # 100 classes > threshold
     m = MappingModel(ks.input_dim, ArchSpec((64,), {}), codes_n := {"big": 100})
-    m.fit(x, codes, epochs=40, batch_size=256, tol=0.0)
+    m.fit(x, codes, TrainConfig(epochs=40, batch_size=256, tol=0.0))
     acc = (m.predict(*_hot(ks, n))["big"] == codes["big"]).mean()
     assert acc > 0.95
 
@@ -116,10 +116,7 @@ def test_train_model_equals_fit_on_feature_matrix(ks, arch):
     cfg = TrainConfig(epochs=3, batch_size=128, seed=3, tol=0.0)
     got = train_model(ks, dense, codes, CLASSES, arch, cfg)
     ref = MappingModel(ks.input_dim, arch, CLASSES, seed=cfg.seed)
-    ref.fit(
-        ks.features_from_dense(dense), codes, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        lr=cfg.lr, lr_decay=cfg.lr_decay, seed=cfg.seed, tol=cfg.tol,
-    )
+    ref.fit(ks.features_from_dense(dense), codes, cfg)
     for a, b in zip(got.net.all_layers(), ref.net.all_layers(), strict=True):
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 

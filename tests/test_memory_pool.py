@@ -68,13 +68,6 @@ def test_pin_never_evicted():
     assert p.pinned_bytes == 50
 
 
-def test_unpin():
-    p = MemoryPool(100)
-    p.pin("m", 60)
-    p.unpin("m")
-    assert p.pinned_bytes == 0
-
-
 def test_invalidate_forces_reload():
     p = MemoryPool(None)
     p.get("a", _loader(1, 1))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from repro.core import mhas
+from repro.core import deepmapping, mhas
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, encode_relation
 from repro.core.encoding import KeySpace
 from repro.core.mhas import LSTMController, MHASConfig, WeightBank, eq1_ratio, mhas_search
@@ -118,7 +118,8 @@ class TestObjective:
         df, ks = _data(400)
         dense, codes, n_classes = _encoded(df, ks)
         m = MappingModel(ks.input_dim, ArchSpec((8,), {}), n_classes)
-        r = eq1_ratio(m, df, KEYS, VALS, 400 * 24, config=DM_CFG, key_space=ks)
+        r = eq1_ratio(m, encode_relation(df, ks, KEYS, VALS), KEYS, 400 * 24,
+                      config=DM_CFG, key_space=ks)
         assert r > 0
 
     def test_score_is_built_structure_ratio(self, tmp_path):
@@ -127,7 +128,8 @@ class TestObjective:
         dense, codes, n_classes = _encoded(df, ks)
         child = train_model(ks, dense, codes, n_classes, ArchSpec((16,), {}),
                             TrainConfig(epochs=3, batch_size=128))
-        score = eq1_ratio(child, df, KEYS, VALS, 500 * 24, config=DM_CFG, key_space=ks)
+        score = eq1_ratio(child, encode_relation(df, ks, KEYS, VALS), KEYS, 500 * 24,
+                          config=DM_CFG, key_space=ks)
         dm = DeepMapping.build(df, KEYS, VALS, DM_CFG, workdir=str(tmp_path),
                                key_space=ks, model=child)
         assert score == dm.nbytes_disk / (500 * 24)
@@ -138,10 +140,9 @@ class TestObjective:
         good = train_model(ks, dense, codes, n_classes, ArchSpec((32,), {}),
                            TrainConfig(epochs=40, batch_size=128, tol=0.0))
         bad = MappingModel(ks.input_dim, ArchSpec((32,), {}), n_classes, seed=1)
-        args = dict(config=DM_CFG, key_space=ks)
-        assert eq1_ratio(good, df, KEYS, VALS, 600 * 24, **args) < eq1_ratio(
-            bad, df, KEYS, VALS, 600 * 24, **args
-        )
+        args = (encode_relation(df, ks, KEYS, VALS), KEYS, 600 * 24)
+        kw = dict(config=DM_CFG, key_space=ks)
+        assert eq1_ratio(good, *args, **kw) < eq1_ratio(bad, *args, **kw)
 
 
 class TestSearch:
@@ -162,17 +163,32 @@ class TestSearch:
         """Every score in the history is a built structure's Eq. 1, and each
         scoring build's directory is gone after the search."""
         df, ks = _data(300)
-        built, real_build = [], DeepMapping.build
+        built, real_build = [], DeepMapping.build_encoded
 
         def build(*args, workdir, **kw):
             dm = real_build(*args, workdir=workdir, **kw)
             built.append((workdir, dm.nbytes_disk))
             return dm
 
-        monkeypatch.setattr(mhas.DeepMapping, "build", staticmethod(build))
+        monkeypatch.setattr(mhas.DeepMapping, "build_encoded", staticmethod(build))
         res = mhas_search(df, KEYS, VALS, 300 * 24, CFG, key_space=ks)
         assert [r for _, r, _ in res.history] == [b / (300 * 24) for _, b in built]
         assert not any(os.path.exists(w) for w, _ in built)
+
+    def test_search_encodes_relation_once(self, monkeypatch):
+        """The relation is encoded once per search, not once per scored
+        child."""
+        df, ks = _data(300)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return encode_relation(*args)
+
+        monkeypatch.setattr(mhas, "encode_relation", spy)
+        monkeypatch.setattr(deepmapping, "encode_relation", spy)
+        res = mhas_search(df, KEYS, VALS, 300 * 24, CFG, key_space=ks)
+        assert len(res.history) > 1 and len(calls) == 1
 
     def test_search_best_trains_to_low_ratio(self):
         """End to end: the searched arch memorizes digit-function data."""
@@ -186,6 +202,6 @@ class TestSearch:
         x = ks.features_from_dense(dense)
         y = {c: v.astype(np.int64) for c, v in y.items()}
         # small searched archs (possibly linear) need a higher lr to converge
-        m.fit(x, y, epochs=120, batch_size=128, lr=1e-2, tol=0.0)
+        m.fit(x, y, TrainConfig(epochs=120, batch_size=128, lr=1e-2, tol=0.0))
         pred = m.predict(ks.hot_positions(dense), ks.blocks)
         assert (pred["a"] == y["a"]).mean() > 0.9

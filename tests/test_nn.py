@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 
 from repro.core.encoding import KeySpace
-from repro.core.nn import ArchSpec, MultiTaskMLP, softmax
+from repro.core.nn import ArchSpec, MultiTaskMLP, TrainConfig, softmax
 
 
 def _toy(n=600, seed=0):
@@ -69,13 +69,13 @@ class TestTraining:
     def test_loss_decreases(self):
         _, x, y = _toy()
         m = MultiTaskMLP(x.shape[1], ArchSpec((32,), {}), {"a": 5, "b": 3}, seed=0)
-        losses = m.fit(x, y, epochs=10, batch_size=128, tol=0.0)
+        losses = m.fit(x, y, TrainConfig(epochs=10, batch_size=128, tol=0.0))
         assert losses[-1] < losses[0]
 
     def test_memorizes_digit_functions(self):
         ks, x, y = _toy()
         m = MultiTaskMLP(x.shape[1], ArchSpec((64,), {}), {"a": 5, "b": 3}, seed=0)
-        m.fit(x, y, epochs=40, batch_size=128, tol=0.0)
+        m.fit(x, y, TrainConfig(epochs=40, batch_size=128, tol=0.0))
         pred = m.predict(*_hot(ks, len(x)))
         assert (pred["a"] == y["a"]).mean() > 0.98
         assert (pred["b"] == y["b"]).mean() > 0.98
@@ -83,13 +83,13 @@ class TestTraining:
     def test_early_stop_on_plateau(self):
         _, x, y = _toy(200)
         m = MultiTaskMLP(x.shape[1], ArchSpec((16,), {}), {"a": 5, "b": 3})
-        losses = m.fit(x, y, epochs=200, batch_size=64, tol=10.0)  # huge tol
+        losses = m.fit(x, y, TrainConfig(epochs=200, batch_size=64, tol=10.0))  # huge tol
         assert len(losses) == 2  # stopped right after the first comparison
 
     def test_single_task(self):
         ks, x, y = _toy(300)
         m = MultiTaskMLP(x.shape[1], ArchSpec((32,), {}), {"a": 5})
-        m.fit(x, {"a": y["a"]}, epochs=30, batch_size=64, tol=0.0)
+        m.fit(x, {"a": y["a"]}, TrainConfig(epochs=30, batch_size=64, tol=0.0))
         assert (m.predict(*_hot(ks, len(x)))["a"] == y["a"]).mean() > 0.9
 
     def test_train_batch_returns_finite_loss(self):
