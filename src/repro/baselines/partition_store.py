@@ -7,12 +7,15 @@ LRU memory pool at query time (Sec. V-A.5 "Partition Size Tuning").
 
 Subclasses define how a partition's rows are represented
 (:meth:`_make_payload`) and how a lookup proceeds within a loaded
-partition (:meth:`_lookup_in_payload`). Keys are the *dense indices* of
-the workload's :class:`~repro.core.encoding.KeySpace`, always sorted
-within and across partitions; query batches are sorted and sliced by the
-partition bounds so each partition is decompressed at most once per batch
-(paper Sec. IV-B), and partitions already resident in the pool are
-visited before the ones that must be loaded.
+partition (:meth:`_lookup_in_payload`); they may also change how the
+payloads become file bytes and back (:meth:`_encode`,
+:meth:`_deserialize`), which every baseline leaves as pickle plus codec.
+Keys are the *dense indices* of the workload's
+:class:`~repro.core.encoding.KeySpace`, always sorted within and across
+partitions; query batches are sorted and sliced by the partition bounds so
+each partition is decompressed at most once per batch (paper Sec. IV-B),
+and partitions already resident in the pool are visited before the ones
+that must be loaded.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import os
 import pickle
 import time
 import uuid
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -72,6 +75,17 @@ class PartitionedStore:
         """Return (found_mask, {col: values for found keys in order})."""
         raise NotImplementedError
 
+    def _encode(self, payloads: Iterable[Any]) -> list[bytes]:
+        """Each partition's file bytes: its payload pickled, then compressed."""
+        return [
+            self.codec.compress(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
+            for p in payloads
+        ]
+
+    def _deserialize(self, raw: bytes) -> Any:
+        """A partition's payload from its decompressed file bytes."""
+        return pickle.loads(raw)
+
     # -- build ------------------------------------------------------------
     def build(self, keys: np.ndarray, values: dict[str, np.ndarray]) -> None:
         """Partition sorted (key, values) rows and write them to disk.
@@ -93,24 +107,23 @@ class PartitionedStore:
         )
         rows_per_part = max(1, self.partition_bytes // max(1, row_bytes))
         n = len(keys)
-        los, his, files = [], [], []
-        total = 0
-        for pi, s in enumerate(range(0, n, rows_per_part)):
-            e = min(n, s + rows_per_part)
-            payload = self._make_payload(keys[s:e], {c: v[s:e] for c, v in values.items()})
-            raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            comp = self.codec.compress(raw)
+        starts = range(0, n, rows_per_part)
+        blobs = self._encode(
+            self._make_payload(
+                keys[s:s + rows_per_part], {c: v[s:s + rows_per_part] for c, v in values.items()}
+            )
+            for s in starts
+        )
+        files = []
+        for pi, comp in enumerate(blobs):
             path = os.path.join(self.dir, f"part_{pi:06d}.bin")
             with open(path, "wb") as f:
                 f.write(comp)
             files.append(path)
-            los.append(int(keys[s]))
-            his.append(int(keys[e - 1]))
-            total += len(comp)
-        self._lo = np.array(los, dtype=np.int64)
-        self._hi = np.array(his, dtype=np.int64)
+        self._lo = keys[list(starts)]
+        self._hi = keys[[min(n, s + rows_per_part) - 1 for s in starts]]
         self._files = files
-        self._nbytes_disk = total
+        self._nbytes_disk = sum(map(len, blobs))
         self.n_rows = n
 
     # -- size ---------------------------------------------------------------
@@ -133,7 +146,7 @@ class PartitionedStore:
             self.pool.stats.bytes_read += len(comp)
             self.pool.simulate_io(len(comp))
             raw = self.pool.timed("decompress", lambda: self.codec.decompress(comp))
-            payload = self.pool.timed("deserialize", lambda: pickle.loads(raw))
+            payload = self.pool.timed("deserialize", lambda: self._deserialize(raw))
             return payload, self._payload_nbytes(payload)
 
         return self.pool.get((self.name, pi), loader)

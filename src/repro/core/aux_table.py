@@ -17,10 +17,27 @@ indexes that partition's codes directly. The rank query takes the place
 of the paper's binary search of a partition's key array (Algorithm 1's
 validation step).
 
-On disk each code column takes the narrowest of uint8/uint16/uint32 that
-holds its largest code in the generation being written, so a partition
-holds more rows and the table fits a smaller pool. Lookup results and
-:meth:`AuxTable.master` stay int32.
+In a loaded partition each code column takes the narrowest of
+uint8/uint16/uint32 that holds its largest code in the generation, so a
+partition holds more rows and the table fits a smaller pool. Lookup
+results and :meth:`AuxTable.master` stay int32. Rows per partition follow
+from these widths. A generation's partitions reach disk in one of two
+layouts, whichever is smaller after the codec (per-column on a tie):
+
+* **per-column** — the loaded payload, pickled;
+* **packed** — each row's codes as one mixed-radix number, the radix of a
+  column being its largest code plus 1 (Knuth, TAOCP vol. 2 §4.1), and
+  the largest k numbers with ``(∏ radix) ** k <= 2 ** 64`` to a uint64
+  word (word-aligned packing, as in Lemire & Boytsov, SPE 2015). A
+  generation whose radix product is not below ``2 ** 64`` is written
+  per-column.
+
+Both candidates are encoded in memory and only the smaller is written.
+Loading a packed partition unpacks it into the per-column payload, inside
+the pool's load and counted as deserialization, so the pool and every
+lookup see the same payload in either layout and a lookup never unpacks.
+An insert that adds a larger code grows that column's radix in the next
+generation.
 
 ``V_aux`` is written into the generation's directory, compressed with the
 table's codec, and counts in :attr:`AuxTable.nbytes_disk` (Eq. 1). In
@@ -35,6 +52,7 @@ directory; the previous generation is deleted once the new one is on disk.
 """
 from __future__ import annotations
 
+import math
 import os
 import shutil
 
@@ -50,14 +68,91 @@ __all__ = ["AuxTable"]
 _VAUX_FILE = "vaux.bin"
 
 
+def _rows_per_word(base: int) -> int:
+    """The largest k with ``base ** k <= 2 ** 64`` (64 for base 1, as for 2)."""
+    k = 1
+    while k < 64 and base ** (k + 1) <= 1 << 64:
+        k += 1
+    return k
+
+
+def _divmod(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(x, d)`` as a floor division, which numpy does by
+    multiplication for a scalar divisor, and a multiply-subtract."""
+    d = x.dtype.type(d)
+    q = x // d
+    return q, x - q * d
+
+
 class _CodeStore(PartitionedStore):
     """``T_aux``'s partitions: the code columns only, keyed by row number.
-    A partition records its first row; a row's codes sit at its offset."""
+    A partition records its first row; a row's codes sit at its offset.
+
+    On disk a generation's partitions are either pickled per-column arrays
+    or packed words; :attr:`radix` is ``None`` for the first, and each
+    column's radix for the second. Loading unpacks, so a payload in the
+    pool is the same ``{"start", "cols"}`` in either layout."""
 
     key_nbytes = 0
+    radix: list[int] | None = None
 
     def _make_payload(self, rows: np.ndarray, values: dict[str, np.ndarray]) -> dict:
         return {"start": int(rows[0]), "cols": values}
+
+    def _encode(self, payloads) -> list[bytes]:
+        """Both layouts' compressed partitions; the smaller total is kept,
+        per-column on a tie."""
+        payloads = list(payloads)
+        per_column = super()._encode(payloads)
+        self.radix = None
+        if not payloads or not self.dtypes:
+            return per_column
+        radix = [max(int(p["cols"][c].max()) for p in payloads) + 1 for c in self.dtypes]
+        if math.prod(radix) >= 1 << 64:
+            return per_column
+        packed = [self.codec.compress(self._pack(p, radix)) for p in payloads]
+        if sum(map(len, packed)) >= sum(map(len, per_column)):
+            return per_column
+        self.radix = radix
+        return packed
+
+    @staticmethod
+    def _pack(payload: dict, radix: list[int]) -> bytes:
+        """A partition as ``[start, rows]`` and then its words: each row's
+        codes are one mixed-radix number (first column least significant),
+        and ``_rows_per_word`` such numbers fill a uint64, first row least
+        significant."""
+        cols = list(payload["cols"].values())
+        num = np.zeros(len(cols[0]), dtype=np.uint64)
+        for v, r in zip(reversed(cols), reversed(radix)):
+            num = num * np.uint64(r) + v
+        base = math.prod(radix)
+        k = _rows_per_word(base)
+        digits = np.zeros(-(-len(num) // k) * k, dtype=np.uint64)
+        digits[:len(num)] = num
+        digits = digits.reshape(-1, k)
+        words = np.zeros(len(digits), dtype=np.uint64)
+        for j in reversed(range(k)):
+            words = words * np.uint64(base) + digits[:, j]
+        head = np.array([payload["start"], len(num)], dtype=np.uint64)
+        return np.concatenate([head, words]).tobytes()
+
+    def _deserialize(self, raw: bytes) -> dict:
+        if self.radix is None:
+            return super()._deserialize(raw)
+        a = np.frombuffer(raw, dtype=np.uint64)
+        base = math.prod(self.radix)
+        k = _rows_per_word(base)
+        # row numbers and every radix fit the narrowest dtype that holds
+        # ``base``, where the columns divide several times faster than in uint64
+        words, num = a[2:], np.empty((len(a) - 2, k), dtype=_min_int_dtype(base + 1))
+        for j in range(k):
+            words, num[:, j] = _divmod(words, base)
+        num, cols = num.reshape(-1)[:int(a[1])], {}
+        for (c, dt), r in zip(self.dtypes.items(), self.radix):
+            num, code = _divmod(num, r)
+            cols[c] = code.astype(dt)
+        return {"start": int(a[0]), "cols": cols}
 
     def _payload_nbytes(self, payload: dict) -> int:
         return sum(v.nbytes for v in payload["cols"].values())
@@ -106,7 +201,8 @@ class AuxTable:
     def _write(self, keys: np.ndarray, codes: dict[str, np.ndarray]) -> None:
         """Write rows as the next on-disk generation, then make them
         current: ``V_aux`` over their keys, and each code column in its
-        minimal width, in key order. Rows are sorted and duplicate keys
+        minimal width, in key order, in the smaller of the two on-disk
+        layouts (:class:`_CodeStore`). Rows are sorted and duplicate keys
         rejected before anything is written; the current generation changes
         only once the write succeeded, and the superseded generation's
         cached partitions and files are dropped."""

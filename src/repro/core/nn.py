@@ -147,7 +147,9 @@ _kept = threading.local()
 
 def _span_buffers(k: int, m: int, width: int, n_logits: int) -> list[tuple]:
     """``(z, part, lg)`` buffers for ``k`` spans of at most ``m`` keys each:
-    ``z`` and ``part`` [m, width], and ``lg`` [n_logits, m] or None.
+    ``z`` and ``part`` [m, width], and ``lg`` [n_logits, m]. ``lg`` has no
+    rows when no stacked head has a class (a model trained on an empty
+    relation), and the matmul into it yields no logits.
 
     Each span's three buffers are contiguous views into one flat float32
     array that the calling thread keeps between calls and replaces only
@@ -171,7 +173,7 @@ def _span_buffers(k: int, m: int, width: int, n_logits: int) -> list[tuple]:
         (
             a[: m * width].reshape(m, width),
             a[step : step + m * width].reshape(m, width),
-            a[2 * step : need].reshape(n_logits, m) if n_logits else None,
+            a[2 * step : need].reshape(n_logits, m),
         )
         for a in flat
     ]

@@ -139,25 +139,8 @@ def build_method(
     """Build one method's store over the relation ``pdf``."""
     kind, codec = METHODS[method]
     ks = workload.key_space(pdf)
-    dense = ks.dense_index(pdf[list(workload.key_cols)].to_numpy())
-    values = {c: pdf[c].to_numpy() for c in workload.value_cols}
     os.makedirs(workdir, exist_ok=True)
-
-    if kind == "array":
-        st = ArrayStore(workdir, codec=codec, partition_bytes=cfg.partition_bytes,
-                        pool=pool, name=f"{method}-{workload.name}")
-        st.build(dense, values)
-        return _StoreAdapter(kind, st, ks, list(workload.value_cols))
-    if kind == "hash":
-        st = HashStore(workdir, codec=codec, partition_bytes=cfg.partition_bytes,
-                       pool=pool, name=f"{method}-{workload.name}")
-        st.build(dense, values)
-        return _StoreAdapter(kind, st, ks, list(workload.value_cols))
-    if kind == "deepsqueeze":
-        st = DeepSqueezeStore(pool=pool)
-        st.build(dense, values)
-        return _StoreAdapter(kind, st, ks, list(workload.value_cols))
-    if kind == "deepmapping":
+    if kind == "deepmapping":  # encodes the relation itself
         dm_cfg = DeepMappingConfig(
             arch=cfg.dm_arch, train=cfg.dm_train, codec=codec,
             partition_bytes=cfg.partition_bytes,
@@ -167,7 +150,19 @@ def build_method(
             workdir=workdir, pool=pool, key_space=ks, model=dm_model,
         )
         return _StoreAdapter(kind, dm, ks, list(workload.value_cols))
-    raise KeyError(method)
+
+    if kind == "deepsqueeze":
+        st = DeepSqueezeStore(pool=pool)
+    else:
+        st = {"array": ArrayStore, "hash": HashStore}[kind](
+            workdir, codec=codec, partition_bytes=cfg.partition_bytes,
+            pool=pool, name=f"{method}-{workload.name}",
+        )
+    st.build(
+        ks.dense_index(pdf[list(workload.key_cols)].to_numpy()),
+        {c: pdf[c].to_numpy() for c in workload.value_cols},
+    )
+    return _StoreAdapter(kind, st, ks, list(workload.value_cols))
 
 
 def _verify(adapter: _StoreAdapter, pdf: pd.DataFrame, workload: Workload) -> None:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.memory_pool import MemoryPool
-from repro.core.aux_table import AuxTable
+from repro.baselines.partition_store import PartitionedStore
+from repro.core.aux_table import AuxTable, _CodeStore, _rows_per_word
 
 
 @pytest.fixture
@@ -311,3 +312,139 @@ def test_pinned_bytes_are_vaux_and_its_directory(tmp_path):
     assert pool.pinned_bytes == vaux_bytes() == 12_504 + 4 * 1563  # re-pinned, not added
     t.apply(remove_keys=np.array([100_000]))
     assert pool.pinned_bytes == vaux_bytes() == 8 + 4
+
+
+# ------------------------------------------------------------ packed layout
+def _random_codes(n, radix=(7, 300, 3), seed=0):
+    rng = np.random.default_rng(seed)
+    codes = {f"c{i}": rng.integers(0, r, n).astype(np.int32) for i, r in enumerate(radix)}
+    for v, r in zip(codes.values(), radix):
+        v[:1] = r - 1  # the radix is the largest code plus 1
+    return codes
+
+
+def _periodic_codes(n):
+    """Digits of the row number: each column repeats with a short period,
+    the way codes of a learnable relation do."""
+    i = np.arange(n)
+    return {f"d{j}": (i // 10 ** j % 10).astype(np.int32) for j in range(4)}
+
+
+def _round_trips(t, keys, codes):
+    """``master()`` and ``lookup`` give back exactly the built rows, warm
+    and from a cleared pool."""
+    order = np.argsort(keys)
+    for _ in range(2):
+        got_keys, got = t.master()
+        assert got_keys.tolist() == keys[order].tolist()
+        assert set(got) == set(codes)
+        for c, v in codes.items():
+            assert got[c].dtype == np.int32 and got[c].tolist() == v[order].tolist()
+        found, vals = t.lookup(keys)
+        assert found.all() and all(vals[c].tolist() == v.tolist() for c, v in codes.items())
+        t.pool.clear()
+
+
+@pytest.mark.parametrize("codes, radix", [
+    (_random_codes(5000), [7, 300, 3]),
+    (_periodic_codes(5000), None),
+    ({"zero": np.zeros(5000, np.int32), **_random_codes(5000, (5,))}, [1, 5]),
+    (_random_codes(3000, (1 << 22, 1 << 22, 1 << 20)), None),  # ∏ radix = 2^64
+    (_random_codes(3000, (1 << 22, 1 << 22, (1 << 20) - 1)), [1 << 22, 1 << 22, (1 << 20) - 1]),
+    ({"a": np.empty(0, np.int32)}, None),
+    (_random_codes(3000, (256, 1)), [256, 1]),  # a radix equal to a dtype's range
+    (_random_codes(3000, (1 << 16,)), [1 << 16]),
+], ids=["random-packs", "periodic-per-column", "radix-1", "product-2^64", "product-below-2^64",
+        "empty", "radix-256", "radix-2^16"])
+@pytest.mark.parametrize("codec", ["z", "lzma"])
+def test_layout_choice_round_trips(tmp_path, codes, radix, codec):
+    n = len(next(iter(codes.values())))
+    perm = np.random.default_rng(1).permutation(n)  # rows in key order are ``codes``
+    keys, codes = np.arange(0, 3 * n, 3)[perm], {c: v[perm] for c, v in codes.items()}
+    t = AuxTable(str(tmp_path), codec=codec, partition_bytes=4096)
+    t.build(keys, codes)
+    assert t._store.radix == radix
+    _round_trips(t, keys, codes)
+
+
+def test_pack_matches_python_int_reference():
+    """Words equal the mixed-radix numbers computed with Python ints:
+    column 0 and the first row of a word least significant."""
+    radix = [3, 1, 250]
+    cols = {"a": np.array([2, 0, 1, 2, 1], np.uint8), "b": np.zeros(5, np.uint8),
+            "c": np.array([249, 7, 0, 100, 5], np.uint8)}
+    base, k = 750, 6  # 750^6 <= 2^64 < 750^7
+    assert _rows_per_word(base) == k and base ** k <= 1 << 64 < base ** (k + 1)
+    nums = [int(a) + 3 * (int(b) + int(c)) for a, b, c in zip(*cols.values())]
+    word = sum(v * base ** j for j, v in enumerate(nums))
+    raw = _CodeStore._pack({"start": 40, "cols": cols}, radix)
+    assert np.frombuffer(raw, np.uint64).tolist() == [40, 5, word]
+    assert [_rows_per_word(b) for b in (1, 2, 3, 1 << 32, (1 << 32) + 1, (1 << 64) - 1)] == [
+        64, 64, 40, 2, 1, 1]
+
+
+def _candidate_bytes(t) -> tuple[int, int]:
+    """Compressed bytes of the per-column and the packed layout of the
+    current generation's rows."""
+    st = t._store
+    payloads = [st._load_partition(pi) for pi in range(st.n_partitions)]
+    radix = [max(int(p["cols"][c].max()) for p in payloads) + 1 for c in st.dtypes]
+    per_column = PartitionedStore._encode(st, payloads)
+    packed = [st.codec.compress(_CodeStore._pack(p, radix)) for p in payloads]
+    return sum(map(len, per_column)), sum(map(len, packed))
+
+
+@pytest.mark.parametrize("codes", [_random_codes(5000), _periodic_codes(5000)],
+                         ids=["random", "periodic"])
+def test_nbytes_disk_is_smaller_candidate_plus_vaux(tmp_path, codes):
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
+    t.build(np.arange(0, 10_000, 2), codes)
+    per_column, packed = _candidate_bytes(t)
+    assert (t._store.radix is not None) == (packed < per_column)
+    vaux = os.path.getsize(os.path.join(t._store.dir, "vaux.bin"))
+    assert t.nbytes_disk == min(per_column, packed) + vaux
+    assert t.nbytes_disk == sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+
+
+def test_packed_partitions_load_as_per_column_payloads(tmp_path):
+    """A packed generation's loaded payloads hold the same keys, rows and
+    minimal-width dtypes as the per-column layout, and the unpacking counts
+    as deserialization."""
+    codes = _random_codes(5000)
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
+    t.build(np.arange(5000), codes)
+    st = t._store
+    assert st.radix is not None and st.n_partitions == -(-5000 // (4096 // 4))
+    t.pool.clear()
+    t.pool.stats.reset()
+    for pi in range(st.n_partitions):
+        payload = st._load_partition(pi)
+        assert set(payload) == {"start", "cols"} and list(payload["cols"]) == ["c0", "c1", "c2"]
+        assert payload["start"] == st._lo[pi]
+        assert {c: v.dtype for c, v in payload["cols"].items()} == {
+            "c0": np.uint8, "c1": np.uint16, "c2": np.uint8}
+        rows = slice(st._lo[pi], st._hi[pi] + 1)
+        assert all(v.tolist() == codes[c][rows].tolist() for c, v in payload["cols"].items())
+    assert t.pool.stats.deserialize_time > 0
+
+
+def test_layout_and_radix_follow_each_generation(tmp_path):
+    """Writes switch a table between the layouts, and a code beyond the
+    radix widens it in the next generation."""
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
+    periodic = _periodic_codes(5000)
+    t.build(np.arange(5000), periodic)
+    assert t._store.radix is None
+    rng = np.random.default_rng(2)
+    noisy = {c: rng.integers(0, 10, 5000).astype(np.int32) for c in periodic}
+    t.apply(upsert_keys=np.arange(5000), upsert_codes=noisy)
+    assert t._store.radix == [10, 10, 10, 10]
+    row = {"d0": 10, "d1": 0, "d2": 0, "d3": 999}
+    t.apply(upsert_keys=np.array([9000]), upsert_codes={c: [v] for c, v in row.items()})
+    assert t._store.radix == [11, 10, 10, 1000]
+    keys = np.append(np.arange(5000), 9000)
+    want = {c: np.append(v, row[c]).astype(np.int32) for c, v in noisy.items()}
+    _round_trips(t, keys, want)
+    t.apply(upsert_keys=np.arange(5000), upsert_codes=periodic, remove_keys=np.array([9000]))
+    assert t._store.radix is None
+    _round_trips(t, np.arange(5000), periodic)

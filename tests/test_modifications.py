@@ -9,7 +9,9 @@ import pandas as pd
 import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test,
+)
 
 from repro.baselines.memory_pool import MemoryPool
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
@@ -109,6 +111,17 @@ class TestInsert:
             assert out["v"].tolist() == df["v"].tolist() + ["x"]
             assert all(type(v) is int for v in out["v"][:-1])
             d.retrain()
+
+    def test_insert_into_empty_build(self, tmp_path):
+        """A model trained on no rows has heads of no classes; an insert
+        then sends every row to T_aux."""
+        df = pd.DataFrame({"key": np.empty(0, np.int64), "easy": np.empty(0, np.int64)})
+        d = DeepMapping.build(
+            df, ["key"], ["easy"], CFG, workdir=str(tmp_path), key_space=KeySpace((1,), (10,)),
+        )
+        d.insert(pd.DataFrame({"key": [3, 4], "easy": [7, 8]}))
+        assert d.lookup(np.array([3, 4, 5]))["easy"].tolist() == [7, 8, None]
+        assert d.aux.n_entries == 2
 
     def test_old_keys_survive_insert(self, dm):
         d, df = dm
@@ -362,28 +375,35 @@ def test_pool_clear_and_pickle_round_trip_keep_content(dm):
 
 
 # ------------------------------------------------------------------ state machine
-VALUE_COLS = ["vi", "vs", "vm"]  # an int, a str and a mixed int/str column
 SM_CFG = DeepMappingConfig(
     arch=ArchSpec((16,), {}), train=TrainConfig(epochs=2, batch_size=8, lr=0.05),
     codec="z", partition_bytes=128,  # a dozen rows per T_aux partition
-)
-# each column favours one value, so the model answers some rows and T_aux
-# the others
-_ROW = st.tuples(
-    st.sampled_from([0, 0, 0, 1, 2, 5]), st.sampled_from(["a", "a", "a", "b", "c"]),
-    st.sampled_from([0, 0, 0, 3, "x", "y"]),
 )
 
 
 class _ModificationMachine(RuleBasedStateMachine):
     """Random insert/update/delete/retrain/lookup/lookup_range sequences,
     pickle round trips and rejected modifications, against a dict oracle
-    of key tuple → (vi, vs, vm) Python values."""
+    of key tuple → tuple of Python values, one per value column.
+
+    Each write notes in ``REACHED`` the ``T_aux`` transitions it made: a
+    non-empty generation whose layout differs from the one before ("layout
+    switch"), and an insert whose packed generation has a larger radix
+    than the one before ("insert grew radix")."""
 
     KEY_COLS: list[str]
     KS: KeySpace
     OUT_OF_DOMAIN: list[tuple[int, ...]]
     POOL_BUDGET: int | None
+    VALUE_COLS = ["vi", "vs", "vm"]  # an int, a str and a mixed int/str column
+    # each column favours one value, so the model answers some rows and T_aux
+    # the others
+    ROW = st.tuples(
+        st.sampled_from([0, 0, 0, 1, 2, 5]), st.sampled_from(["a", "a", "a", "b", "c"]),
+        st.sampled_from([0, 0, 0, 3, "x", "y"]),
+    )
+    UNSEEN = (100, "z", "z")  # a category no column holds
+    REACHED: set[str] = set()
 
     def __init__(self):
         super().__init__()
@@ -394,10 +414,10 @@ class _ModificationMachine(RuleBasedStateMachine):
     def teardown(self):
         shutil.rmtree(self.workdir, ignore_errors=True)
 
-    def _frame(self, rows: list[tuple[tuple[int, ...], tuple]], cols=VALUE_COLS) -> pd.DataFrame:
+    def _frame(self, rows: list[tuple[tuple[int, ...], tuple]], cols=None) -> pd.DataFrame:
         data = {kc: [k[i] for k, _ in rows] for i, kc in enumerate(self.KEY_COLS)}
-        for j, c in enumerate(VALUE_COLS):
-            if c in cols:
+        for j, c in enumerate(self.VALUE_COLS):
+            if cols is None or c in cols:
                 data[c] = [v[j] for _, v in rows]
         return pd.DataFrame(data)
 
@@ -410,14 +430,31 @@ class _ModificationMachine(RuleBasedStateMachine):
         return (
             keys.tolist(), {c: v.tolist() for c, v in codes.items()},
             self.dm.vexist.set_indices().tolist(),
-            {c: self.dm.codecs[c].classes_.tolist() for c in VALUE_COLS},
+            {c: self.dm.codecs[c].classes_.tolist() for c in self.VALUE_COLS},
         )
+
+    def _generation(self):
+        """(rows, each column's radix, packed?) of ``T_aux``'s generation."""
+        keys, codes = self.dm.aux.master()
+        radix = [int(v.max(initial=-1)) + 1 for v in codes.values()]
+        return len(keys), radix, self.dm.aux._store.radix is not None
+
+    def _write(self, op: str, fn) -> None:
+        before = self._generation()
+        fn()
+        after = self._generation()
+        if before[0] and after[0] and before[2] != after[2]:
+            self.REACHED.add("layout switch")
+        if op == "insert" and before[0] and after[2] and any(
+            a > b for a, b in zip(after[1], before[1])
+        ):
+            self.REACHED.add("insert grew radix")
 
     def _check_lookup(self, keys: list[tuple[int, ...]], out: pd.DataFrame) -> None:
         assert out[self.KEY_COLS].to_numpy().tolist() == [list(k) for k in keys]
         for i, k in enumerate(keys):
             want = self.oracle.get(k)
-            for j, c in enumerate(VALUE_COLS):
+            for j, c in enumerate(self.VALUE_COLS):
                 got = out[c].iloc[i]
                 if want is None:
                     assert got is None, (k, c, got)
@@ -427,37 +464,37 @@ class _ModificationMachine(RuleBasedStateMachine):
     @initialize(data=st.data())
     def build(self, data):
         keys = data.draw(st.lists(st.sampled_from(self.domain), max_size=24, unique=True))
-        self.oracle = {k: data.draw(_ROW) for k in keys}
+        self.oracle = {k: data.draw(self.ROW) for k in keys}
         self.dm = DeepMapping.build(
-            self._frame(list(self.oracle.items())), self.KEY_COLS, VALUE_COLS, SM_CFG,
+            self._frame(list(self.oracle.items())), self.KEY_COLS, self.VALUE_COLS, SM_CFG,
             workdir=self.workdir, key_space=self.KS, pool=MemoryPool(self.POOL_BUDGET),
         )
 
     @precondition(lambda self: len(self.oracle) < len(self.domain))
     @rule(data=st.data())
     def insert(self, data):
-        rows = [(k, data.draw(_ROW)) for k in self._draw_keys(data, live=False)]
-        self.dm.insert(self._frame(rows))
+        rows = [(k, data.draw(self.ROW)) for k in self._draw_keys(data, live=False)]
+        self._write("insert", lambda: self.dm.insert(self._frame(rows)))
         self.oracle.update(rows)
 
     @precondition(lambda self: self.oracle)
     @rule(data=st.data())
     def update(self, data):
-        rows = [(k, data.draw(_ROW)) for k in self._draw_keys(data, live=True)]
-        self.dm.update(self._frame(rows))
+        rows = [(k, data.draw(self.ROW)) for k in self._draw_keys(data, live=True)]
+        self._write("update", lambda: self.dm.update(self._frame(rows)))
         self.oracle.update(rows)
 
     @rule(data=st.data())
     def delete(self, data):
         """Live and absent keys; deleting an absent key changes nothing."""
         keys = data.draw(st.lists(st.sampled_from(self.domain), min_size=1, max_size=8, unique=True))
-        self.dm.delete(np.array(keys))
+        self._write("delete", lambda: self.dm.delete(np.array(keys)))
         for k in keys:
             self.oracle.pop(k, None)
 
     @rule()
     def retrain(self):
-        self.dm.retrain()
+        self._write("retrain", self.dm.retrain)
 
     @rule(data=st.data())
     def lookup(self, data):
@@ -484,19 +521,19 @@ class _ModificationMachine(RuleBasedStateMachine):
         data=st.data(),
     )
     def rejected(self, kind, data):
-        """Values 100 and "z" are unseen categories, so a commit would show in
+        """``UNSEEN`` holds unseen categories, so a commit would show in
         ``f_decode`` and in T_aux."""
         live = kind in ("insert_live", "dup_update")
         pool = sorted(self.oracle) if live else [k for k in self.domain if k not in self.oracle]
         assume(pool)
         k = data.draw(st.sampled_from(pool))
-        new = (100, "z", "z")
+        new = self.UNSEEN
         before = self._snapshot()
         with pytest.raises((KeyError, ValueError)):
             if kind == "dup_insert":
                 self.dm.insert(self._frame([(k, new), (k, new)]))
             elif kind == "missing_col":
-                self.dm.insert(self._frame([(k, new)], cols=["vi", "vs"]))
+                self.dm.insert(self._frame([(k, new)], cols=self.VALUE_COLS[:-1]))
             elif kind == "insert_live":
                 self.dm.insert(self._frame([(k, new)]))
             elif kind == "update_absent":
@@ -517,7 +554,10 @@ class _ModificationMachine(RuleBasedStateMachine):
         if self.oracle:
             ks, vals = zip(*self.oracle.items())
             dense = self.KS.dense_index(np.array(ks))
-            codes = {c: self.dm.codecs[c].encode([v[j] for v in vals]) for j, c in enumerate(VALUE_COLS)}
+            codes = {
+                c: self.dm.codecs[c].encode([v[j] for v in vals])
+                for j, c in enumerate(self.VALUE_COLS)
+            }
             want = set(dense[misclassified(self.dm.model, self.KS, dense, codes)].tolist())
         assert aux_keys.tolist() == sorted(want)
         assert self.dm.aux.n_entries == len(want)
@@ -537,6 +577,22 @@ class CompositeKeyMachine(_ModificationMachine):
     POOL_BUDGET = 1024  # below the pinned structure: every T_aux load is evicted at once
 
 
+class WideRowMachine(_ModificationMachine):
+    """Twenty-two int columns of up to eight values each, so a full ``T_aux``
+    has a radix product of 8^22 = 2^66 and is written per-column, while a
+    sparse one (few rows, few distinct codes) packs. Rows coming and going
+    switch the layout both ways, and inserts grow a packed radix."""
+
+    KEY_COLS = ["key"]
+    KS = KeySpace((1,), (40,))
+    OUT_OF_DOMAIN = [(0,), (41,)]
+    POOL_BUDGET = None
+    VALUE_COLS = [f"w{i}" for i in range(22)]
+    ROW = st.tuples(*[st.integers(0, 7)] * 22)
+    UNSEEN = (100,) * 22
+    REACHED: set[str] = set()
+
+
 _SM_SETTINGS = settings(
     max_examples=40, stateful_step_count=20, deadline=None, database=None,
     derandomize=True, suppress_health_check=[HealthCheck.too_slow],
@@ -545,3 +601,11 @@ TestSimpleKeyMachine = SimpleKeyMachine.TestCase
 TestSimpleKeyMachine.settings = _SM_SETTINGS
 TestCompositeKeyMachine = CompositeKeyMachine.TestCase
 TestCompositeKeyMachine.settings = _SM_SETTINGS
+
+
+def test_wide_rows_switch_layout_and_grow_radix():
+    """The machine reaches both ``T_aux`` transitions and stays lossless
+    through them."""
+    WideRowMachine.REACHED.clear()
+    run_state_machine_as_test(WideRowMachine, settings=_SM_SETTINGS)
+    assert WideRowMachine.REACHED == {"layout switch", "insert grew radix"}
