@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import tempfile
 
@@ -36,8 +37,14 @@ def emit(result, out: str | None) -> None:
         print(f"\n[written to {out}]")
 
 
-def workdir_of(args) -> str:
+@contextlib.contextmanager
+def workdir_of(args):
+    """The partition-store directory for the job's ``with`` block:
+    ``--workdir``, which is kept, or else a temporary directory that is
+    removed when the block ends."""
     if args.workdir:
         os.makedirs(args.workdir, exist_ok=True)
-        return args.workdir
-    return tempfile.mkdtemp(prefix="repro-job-")
+        yield args.workdir
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-job-") as d:
+            yield d

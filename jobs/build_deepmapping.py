@@ -39,14 +39,12 @@ def main() -> None:
         cfg = replace(cfg, arch=res.best_arch)
         print(f"MHAS best arch: {res.best_arch} (ratio {res.best_ratio:.4f})")
 
-    dm = DeepMapping.build(
-        pdf, key_cols, value_cols, cfg, workdir=workdir_of(args), key_space=ks,
-    )
-    bd = dm.storage_breakdown()
-    print(f"workload={wl.name} rows={len(pdf)} raw_bytes={raw}")
-    print(f"storage breakdown: {bd}")
-    print(f"total={dm.nbytes_disk} compression_ratio={dm.compression_ratio(raw):.4f}")
-    print(f"memorized_fraction={dm.memorized_fraction:.3f}")
+    with workdir_of(args) as workdir:
+        dm = DeepMapping.build(pdf, key_cols, value_cols, cfg, workdir=workdir, key_space=ks)
+        print(f"workload={wl.name} rows={len(pdf)} raw_bytes={raw}")
+        print(f"storage breakdown: {dm.storage_breakdown()}")
+        print(f"total={dm.nbytes_disk} compression_ratio={dm.compression_ratio(raw):.4f}")
+        print(f"memorized_fraction={dm.memorized_fraction:.3f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ from repro.experiments.tables import table1
 def main() -> None:
     args = make_parser("Table I — exceeds-memory lookup").parse_args()
     spark = get_spark("repro-table1")
-    emit(table1(spark, workdir_of(args)), args.out)
+    with workdir_of(args) as workdir:
+        emit(table1(spark, workdir), args.out)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ from repro.experiments.tables import table2
 def main() -> None:
     args = make_parser("Table II — fits-memory lookup").parse_args()
     spark = get_spark("repro-table2")
-    emit(table2(spark, workdir_of(args)), args.out)
+    with workdir_of(args) as workdir:
+        emit(table2(spark, workdir), args.out)
 
 
 if __name__ == "__main__":

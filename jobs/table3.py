@@ -8,7 +8,8 @@ from repro.experiments.tables import table3
 def main() -> None:
     args = make_parser("Table III — insert, same distribution").parse_args()
     spark = get_spark("repro-table3")
-    emit(table3(spark, workdir_of(args)), args.out)
+    with workdir_of(args) as workdir:
+        emit(table3(spark, workdir), args.out)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ from repro.experiments.tables import table4
 def main() -> None:
     args = make_parser("Table IV — insert, cross distribution").parse_args()
     spark = get_spark("repro-table4")
-    emit(table4(spark, workdir_of(args)), args.out)
+    with workdir_of(args) as workdir:
+        emit(table4(spark, workdir), args.out)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ from repro.experiments.tables import table5
 def main() -> None:
     args = make_parser("Table V — delete").parse_args()
     spark = get_spark("repro-table5")
-    emit(table5(spark, workdir_of(args)), args.out)
+    with workdir_of(args) as workdir:
+        emit(table5(spark, workdir), args.out)
 
 
 if __name__ == "__main__":

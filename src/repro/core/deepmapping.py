@@ -13,9 +13,9 @@ Implements:
   (:func:`encode_relation`), then :meth:`DeepMapping.build_encoded` trains
   (or accepts) the model, runs every key through it and stores the
   misclassified mappings in ``T_aux``,
-* :meth:`lookup` — Algorithm 1 (batch inference → existence check →
-  auxiliary validation → decode); :meth:`lookup_arrays` is the same
-  without the NULL-filled DataFrame edge,
+* :meth:`lookup` — Algorithm 1 (existence check → auxiliary validation →
+  batch inference on the existing keys ``T_aux`` does not hold → decode);
+  :meth:`lookup_arrays` is the same without the NULL-filled DataFrame edge,
 * :meth:`insert` / :meth:`delete` / :meth:`update` — Algorithms 3/4/5,
   piggy-backing on ``T_aux`` with a size-threshold retrain trigger,
 * :meth:`lookup_range` — Sec. IV-E batch-inference range extension,
@@ -234,24 +234,24 @@ class DeepMapping:
             dense = dense[exists]
         self.stats.existence_time += time.perf_counter() - t0
 
-        # batch inference over existing keys only (paper runs the model on
-        # the whole batch; restricting to existing keys is the same work
-        # modulo the spurious rows, which the existence check discards)
+        # auxiliary validation first: T_aux is row-level, so it answers
+        # every column of the keys it holds, and the model runs on the rest
         t0 = time.perf_counter()
-        pred = predict_codes(self.model, self.key_space, dense, cols)
-        self.stats.inference_time += time.perf_counter() - t0
-
-        # auxiliary validation: tuples found in T_aux override the model
-        t0 = time.perf_counter()
-        if len(dense):
-            mask, aux_codes = self.aux.lookup(dense)
-            if mask.any():
-                for c in cols:
-                    pred[c][mask] = aux_codes[c]
+        in_aux, aux_codes = self.aux.lookup(dense)
+        rest = ~in_aux
         self.stats.aux_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        vals = {c: self.codecs[c].decode(pred[c]) for c in cols}
+        pred = predict_codes(self.model, self.key_space, dense[rest], cols)
+        self.stats.inference_time += time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        vals = {}
+        for c in cols:
+            codes = np.empty(len(dense), dtype=np.int32)
+            codes[in_aux] = aux_codes[c]
+            codes[rest] = pred[c]
+            vals[c] = self.codecs[c].decode(codes)
         self.stats.decode_time += time.perf_counter() - t0
         return found, vals
 

@@ -12,10 +12,9 @@ executors.
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
 DataFrame — the paper's batched, parallel inference path. Each batch gets
 the structure's typed result (found-mask plus native-dtype values) and
-turns it into nullable columns, NULL for non-existing keys. Inside each
-Python worker of ``local[N]``, a batch of more than ``nn.INFER_BATCH`` keys
-runs its inference on 2 threads (``MultiTaskMLP.predict``), so N workers
-may run up to 2N inference threads.
+turns it into nullable columns, NULL for non-existing keys. Each Python
+worker runs its batches' inference on its own thread, in buffers that
+thread keeps (``MultiTaskMLP.predict``).
 
 The structure itself is built on the driver with
 :meth:`~repro.core.deepmapping.DeepMapping.build` over a pandas relation

@@ -12,12 +12,10 @@ drawn, and no gradient is computed for the features themselves. Batch
 inference (:meth:`MultiTaskMLP.predict`) never builds feature rows: the
 input arrives in factored form, so the layer that reads it is a sum of a
 few rows of tables derived from that layer's weights, and the rest of the
-forward pass is float32 matmul with in-place bias and ReLU, in buffers each
-calling thread keeps between calls. A batch of more than ``INFER_BATCH``
-keys is cut into ``INFER_WORKERS`` contiguous spans that the calling thread
-and a worker thread started for the call run at once.
-:meth:`MultiTaskMLP.logits` is the dense reference the tests compare it
-with.
+forward pass is float32 matmul with in-place bias and ReLU, ``INFER_BATCH``
+keys at a time on the calling thread, in buffers that thread keeps between
+calls. :meth:`MultiTaskMLP.logits` is the dense reference the tests compare
+it with.
 
 Weights may be *views into a shared weight bank* (MHAS / ENAS parameter
 sharing): layers are created through a factory so `mhas.py` can hand out
@@ -29,20 +27,14 @@ length of the pickled :class:`~repro.core.model.MappingModel` around it.
 """
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ArchSpec", "TrainConfig", "MultiTaskMLP", "softmax", "INFER_BATCH", "INFER_WORKERS"]
+__all__ = ["ArchSpec", "TrainConfig", "MultiTaskMLP", "softmax", "INFER_BATCH"]
 
 INFER_BATCH = 8192  # keys per forward pass at inference; set by measurement
-# threads that run one predict call, the caller included; set by measurement:
-# each matmul already runs on 2 BLAS threads, and 3 or 4 gained nothing
-# beyond run-to-run noise on 4 cores
-INFER_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -141,42 +133,35 @@ def _argmax_rows(z: np.ndarray) -> np.ndarray:
     return (k - 1) - ((z == z.max(axis=0)) * rank).max(axis=0)
 
 
-# per calling thread, predict's span buffers, kept between calls
+# per calling thread, predict's buffers, kept between calls
 _kept = threading.local()
 
 
-def _span_buffers(k: int, m: int, width: int, n_logits: int) -> list[tuple]:
-    """``(z, part, lg)`` buffers for ``k`` spans of at most ``m`` keys each:
-    ``z`` and ``part`` [m, width], and ``lg`` [n_logits, m]. ``lg`` has no
-    rows when no stacked head has a class (a model trained on an empty
+def _buffers(m: int, width: int, n_logits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z, part, lg)`` buffers for batches of at most ``m`` keys: ``z``
+    and ``part`` [m, width], and ``lg`` [n_logits, m]. ``lg`` has no rows
+    when no stacked head has a class (a model trained on an empty
     relation), and the matmul into it yields no logits.
 
-    Each span's three buffers are contiguous views into one flat float32
-    array that the calling thread keeps between calls and replaces only
-    when it is too small. The calling thread allocates every span's array,
-    so it lives in that thread's malloc arena: memory a worker thread
-    allocates stays in the worker's arena and raises peak RSS. glibc maps
-    buffers of a few MB afresh on each allocation while its mmap threshold
-    is low, so allocating them per call costs thousands of page faults
-    per lookup.
+    The three are contiguous views into one flat float32 array that the
+    calling thread keeps between calls and replaces only when it is too
+    small, so two threads never share one. glibc maps buffers of a few MB
+    afresh on each allocation while its mmap threshold is low, so
+    allocating them per call costs thousands of page faults per lookup.
     """
     # the views start 64 bytes past a multiple of 4 KB from each other: a
     # load at the same offset within 4 KB as a store still in flight waits
     # for it (4K aliasing), which ``z += part`` would hit on every element
     step = -(-(m * width - 16) // 1024) * 1024 + 16
     need = 2 * step + n_logits * m
-    kept = getattr(_kept, "spans", [])
-    flat = [kept[j] if j < len(kept) and len(kept[j]) >= need else np.empty(need, np.float32)
-            for j in range(k)]
-    _kept.spans = flat + kept[k:]
-    return [
-        (
-            a[: m * width].reshape(m, width),
-            a[step : step + m * width].reshape(m, width),
-            a[2 * step : need].reshape(n_logits, m),
-        )
-        for a in flat
-    ]
+    a = getattr(_kept, "buf", None)
+    if a is None or len(a) < need:
+        a = _kept.buf = np.empty(need, np.float32)
+    return (
+        a[: m * width].reshape(m, width),
+        a[step : step + m * width].reshape(m, width),
+        a[2 * step : need].reshape(n_logits, m),
+    )
 
 
 class MultiTaskMLP:
@@ -246,18 +231,13 @@ class MultiTaskMLP:
         digit combination of block ``g``. The tables are derived from the
         weights here, on every call, and never kept. The logits of the heads
         without private layers come from one stacked matrix. Keys run
-        ``INFER_BATCH`` at a time; no key's result depends on the others.
+        ``INFER_BATCH`` at a time on the calling thread; no key's result
+        depends on the others.
 
-        More than ``INFER_BATCH`` keys are cut into up to ``INFER_WORKERS``
-        equal contiguous spans. The calling thread runs the first span and
-        threads started for this call run the rest, each into its own slice
-        of the result; an exception in any span is raised here. A call of at
-        most ``INFER_BATCH`` keys runs on the calling thread alone.
-
-        Each span's first-layer and logit buffers are kept by the calling
-        thread (:func:`_span_buffers`), never by the model, so they are not
-        pickled and two threads never share them. Allocated per call, they
-        cost thousands of minor page faults per 100K-key lookup and a few
+        The first-layer and logit buffers are kept by the calling thread
+        (:func:`_buffers`), never by the model, so they are not pickled and
+        two threads never share them. Allocated per call, they cost
+        thousands of minor page faults per 100K-key lookup and a few
         percent of its latency, because glibc maps buffers of this size
         afresh on every allocation.
         """
@@ -283,55 +263,38 @@ class MultiTaskMLP:
             w_out = np.hstack([self.heads[t][0].w for t in direct]).T
             b_out = np.concatenate([self.heads[t][0].b for t in direct])[:, None]
 
-        def run(lo, hi, z, part, lg):
-            """Keys ``lo:hi``, ``INFER_BATCH`` at a time, in buffers of at
-            least ``min(hi - lo, INFER_BATCH)`` keys that the caller owns."""
-            for s in range(lo, hi, INFER_BATCH):
-                e = min(hi, s + INFER_BATCH)
-                zb = z[: e - s]
-                # positions are in range by construction; mode "clip" lets
-                # take write straight into ``out`` where "raise" would buffer
-                np.take(tables[0], hot[s:e, 0], axis=0, out=zb, mode="clip")
-                for g in range(1, len(tables)):
-                    np.take(tables[g], hot[s:e, g], axis=0, out=part[: e - s], mode="clip")
-                    zb += part[: e - s]
-                if self.shared:
-                    h = np.maximum(zb, 0.0, out=zb)
-                    for lyr in self.shared[1:]:
-                        h = _dense_relu(h, lyr)
-                    head_in = {t: (h, self.heads[t]) for t in private}
-                    if direct:  # logits [classes, keys], as _argmax_rows wants
-                        logits = np.matmul(w_out, h.T, out=lg[:, : e - s])
-                        logits += b_out
-                else:
-                    head_in = {t: (np.maximum(zb[:, span[t]], 0.0), self.heads[t][1:]) for t in private}
-                    logits = zb.T
-                for t in direct:
-                    out[t][s:e] = _argmax_rows(logits[span[t]])
-                for t, (a, layers) in head_in.items():
-                    for lyr in layers[:-1]:
-                        a = _dense_relu(a, lyr)
-                    zt = layers[-1].w.T @ a.T
-                    zt += layers[-1].b[:, None]
-                    out[t][s:e] = _argmax_rows(zt)
-
         n = len(hot)
         out = {t: np.empty(n, dtype=np.int32) for t in self.heads}
-        k = max(1, min(INFER_WORKERS, -(-n // INFER_BATCH)))
-        cuts = [n * i // k for i in range(k + 1)]
         n_logits = len(b_out) if self.shared and direct else 0
-        bufs = _span_buffers(k, min(-(-n // k), INFER_BATCH), w.shape[1], n_logits)
-        jobs = [(lo, hi, *b) for lo, hi, b in zip(cuts, cuts[1:], bufs)]
-        if len(jobs) == 1:
-            run(*jobs[0])
-            return out
-        # leaving the block waits for every span, so no thread still writes
-        # ``out`` once predict returns, even when a span raised
-        with ThreadPoolExecutor(len(jobs) - 1, thread_name_prefix="infer") as ex:
-            futures = [ex.submit(run, *job) for job in jobs[1:]]
-            run(*jobs[0])
-            for f in futures:
-                f.result()
+        z, part, lg = _buffers(min(n, INFER_BATCH), w.shape[1], n_logits)
+        for s in range(0, n, INFER_BATCH):
+            e = min(n, s + INFER_BATCH)
+            zb = z[: e - s]
+            # positions are in range by construction; mode "clip" lets take
+            # write straight into ``out`` where "raise" would buffer
+            np.take(tables[0], hot[s:e, 0], axis=0, out=zb, mode="clip")
+            for g in range(1, len(tables)):
+                np.take(tables[g], hot[s:e, g], axis=0, out=part[: e - s], mode="clip")
+                zb += part[: e - s]
+            if self.shared:
+                h = np.maximum(zb, 0.0, out=zb)
+                for lyr in self.shared[1:]:
+                    h = _dense_relu(h, lyr)
+                head_in = {t: (h, self.heads[t]) for t in private}
+                if direct:  # logits [classes, keys], as _argmax_rows wants
+                    logits = np.matmul(w_out, h.T, out=lg[:, : e - s])
+                    logits += b_out
+            else:
+                head_in = {t: (np.maximum(zb[:, span[t]], 0.0), self.heads[t][1:]) for t in private}
+                logits = zb.T
+            for t in direct:
+                out[t][s:e] = _argmax_rows(logits[span[t]])
+            for t, (a, layers) in head_in.items():
+                for lyr in layers[:-1]:
+                    a = _dense_relu(a, lyr)
+                zt = layers[-1].w.T @ a.T
+                zt += layers[-1].b[:, None]
+                out[t][s:e] = _argmax_rows(zt)
         return out
 
     # -- training ------------------------------------------------------------

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.memory_pool import MemoryPool
-from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified
+from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
 from repro.core.encoding import KeySpace
 from repro.core.model import MappingModel, TrainConfig
 from repro.core.nn import ArchSpec
@@ -312,3 +312,121 @@ class TestSweepInvariant:
                 got[c][q - 1] = vals[c]  # keys are 1..n
         for c in d.value_cols:
             assert (got[c] == df[c].to_numpy()).all(), c
+
+
+def _predict_spy(monkeypatch) -> list[np.ndarray]:
+    """The factored features of every ``MappingModel.predict`` call from now
+    on, in call order."""
+    calls, predict = [], MappingModel.predict
+
+    def spy(model, hot, blocks):
+        calls.append(hot.copy())
+        return predict(model, hot, blocks)
+
+    monkeypatch.setattr(MappingModel, "predict", spy)
+    return calls
+
+
+def _paper_order(d: DeepMapping, keys: np.ndarray, cols: list[str]):
+    """Algorithm 1 in the paper's order: the model predicts every existing
+    key, then ``T_aux`` overrides the keys it holds."""
+    keys = keys[:, None]
+    found = np.zeros(len(keys), dtype=bool)
+    idx = np.flatnonzero(d.key_space.contains(keys))
+    dense = d.key_space.dense_index(keys[idx])
+    exists = d.vexist.get(dense)
+    found[idx[exists]] = True
+    dense = dense[exists]
+    pred = predict_codes(d.model, d.key_space, dense, cols)
+    in_aux, aux_codes = d.aux.lookup(dense)
+    for c in cols:
+        pred[c][in_aux] = aux_codes[c]
+    return found, {c: d.codecs[c].decode(pred[c]) for c in cols}
+
+
+class TestLookupOrder:
+    """A lookup validates against ``T_aux`` first and runs the model only on
+    the existing keys ``T_aux`` does not hold; the answers are those of the
+    paper's order, key by key."""
+
+    N, DOMAIN = 2000, 2500
+
+    @pytest.fixture(scope="class")
+    def holed(self, tmp_path_factory):
+        df = _relation(self.N)
+        df = df[df["key"] % 7 != 0].reset_index(drop=True)  # absent keys inside the domain
+        d = DeepMapping.build(
+            df, ["key"], ["easy", "hard", "txt"], CFG,
+            workdir=str(tmp_path_factory.mktemp("holed")), key_space=KeySpace((1,), (self.DOMAIN,)),
+        )
+        assert 0 < d.aux.n_entries < len(df)
+        return d, df
+
+    def _query(self) -> np.ndarray:
+        """Every domain key shuffled, a few twice, and out-of-domain keys."""
+        rng = np.random.default_rng(5)
+        keys = np.arange(1, self.DOMAIN + 1)
+        return rng.permutation(np.concatenate([keys, keys[:40], [0, -3, self.DOMAIN + 1, 10**6]]))
+
+    def _check(self, d, df, monkeypatch, cols):
+        keys = self._query()
+        calls = _predict_spy(monkeypatch)
+        found, vals = d.lookup_arrays(keys, cols)
+        assert len(calls) == 1
+        dense = d.key_space.dense_index(keys[found][:, None])
+        in_aux, _ = d.aux.lookup(dense)
+        assert np.array_equal(calls[0], d.key_space.hot_positions(dense[~in_aux]))
+
+        ref_found, ref_vals = _paper_order(d, keys, cols)
+        assert (found == ref_found).all()
+        truth = df.set_index("key")
+        for c in cols:
+            assert vals[c].tolist() == ref_vals[c].tolist(), c
+            assert vals[c].tolist() == truth.loc[keys[found], c].tolist(), c
+
+    def test_model_sees_only_keys_aux_lacks(self, holed, monkeypatch):
+        d, df = holed
+        self._check(d, df, monkeypatch, d.value_cols)
+
+    def test_column_subset(self, holed, monkeypatch):
+        d, df = holed
+        for cols in (["txt"], ["hard", "easy"]):
+            self._check(d, df, monkeypatch, cols)
+
+    @staticmethod
+    def _constant_model(ks: KeySpace, codes: dict[str, int], n_classes: dict[str, int]):
+        """A model that predicts ``codes[c]`` for column ``c`` on every key."""
+        m = MappingModel(ks.input_dim, ArchSpec((4,), {}), n_classes)
+        for lyr in m.net.all_layers():
+            lyr.w[:] = 0
+            lyr.b[:] = 0
+        for c, code in codes.items():
+            m.net.heads[c][-1].b[code] = 1
+        return m
+
+    @pytest.mark.parametrize("aux", ["empty", "every key"])
+    def test_aux_empty_or_full(self, tmp_path, monkeypatch, aux):
+        """A model right on every row leaves ``T_aux`` empty and runs on
+        every existing key; one wrong on every row puts every key in
+        ``T_aux`` and runs on none."""
+        key = np.arange(1, 301)
+        if aux == "empty":
+            df = pd.DataFrame({"key": key, "a": "x", "b": 7})
+            codes, n_classes = {"a": 0, "b": 0}, {"a": 1, "b": 1}
+        else:  # a row is right only with codes (0, 1), and every row has equal codes
+            df = pd.DataFrame({"key": key, "a": key % 2, "b": np.array(["u", "v"])[key % 2]})
+            codes, n_classes = {"a": 0, "b": 1}, {"a": 2, "b": 2}
+        df = df[df["key"] % 7 != 0]
+        ks = KeySpace((1,), (400,))
+        d = DeepMapping.build(
+            df, ["key"], ["a", "b"], CFG, workdir=str(tmp_path), key_space=ks,
+            model=self._constant_model(ks, codes, n_classes),
+        )
+        assert d.aux.n_entries == (0 if aux == "empty" else len(df))
+        calls = _predict_spy(monkeypatch)
+        keys = np.arange(0, 402)
+        out = d.lookup(keys)
+        assert [len(hot) for hot in calls] == [len(df) - d.aux.n_entries]
+        want = df.set_index("key").reindex(keys)
+        for c in ("a", "b"):
+            assert out[c].tolist() == [None if pd.isna(v) else v for v in want[c].tolist()]

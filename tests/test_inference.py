@@ -5,8 +5,7 @@ The kernel sums first-layer table rows in place of a one-hot matmul, so its
 logits differ from the reference in the last float32 bits: it must give the
 reference's argmax wherever the top two logits are more than 1e-3 apart.
 Build sweep and lookup both run the kernel, so it must also give every key
-the same code whatever batch the key runs in, and whatever number of
-threads the batch is split over.
+the same code whatever batch the key runs in, and whatever thread calls it.
 """
 import os
 import sys
@@ -88,90 +87,29 @@ def _keys(ks: KeySpace, n: int, seed: int = 3) -> np.ndarray:
 
 
 @pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
-@pytest.mark.parametrize("ks", KEY_SPACES.values(), ids=KEY_SPACES)
-def test_parallel_equals_sequential(ks, arch, monkeypatch):
-    """Every worker count gives every key the code one thread gives it, on
-    one chunk and on two or three spans that end mid-chunk."""
-    m = _model(ks, arch)
-    for n in (INFER_BATCH, 2 * INFER_BATCH + 3, 5 * INFER_BATCH + 1):
-        hot = ks.hot_positions(_keys(ks, n))
-        monkeypatch.setattr(nn, "INFER_WORKERS", 1)
-        seq = m.net.predict(hot, ks.blocks)
-        for workers in (2, 3):
-            monkeypatch.setattr(nn, "INFER_WORKERS", workers)
-            par = m.net.predict(hot, ks.blocks)
-            for t in seq:
-                assert (par[t] == seq[t]).all(), (n, workers, t)
-
-
-def test_small_call_runs_inline(monkeypatch):
-    """A call of at most INFER_BATCH keys starts no thread."""
-    def no_threads(*args, **kwargs):
-        raise AssertionError("an inference thread was started")
-
-    ks = KEY_SPACES["composite"]
-    m = _model(ks, ARCHS["trunk"])
-    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
-    monkeypatch.setattr(nn, "ThreadPoolExecutor", no_threads)
-    for n in (0, 1, INFER_BATCH):
-        out = m.net.predict(ks.hot_positions(_keys(ks, n)), ks.blocks)
-        assert all(len(v) == n for v in out.values())
-    with pytest.raises(AssertionError, match="inference thread was started"):
-        m.net.predict(ks.hot_positions(_keys(ks, INFER_BATCH + 1)), ks.blocks)
-
-
-def test_worker_exception_propagates(monkeypatch):
-    """An exception in a span a worker thread runs reaches the caller, and
-    the next call still succeeds."""
-    ks = KEY_SPACES["decimal"]
-    m = _model(ks, ARCHS["trunk"])
-    hot = ks.hot_positions(_keys(ks, 2 * INFER_BATCH))
-    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
-    want = m.net.predict(hot, ks.blocks)
-    argmax = nn._argmax_rows
-
-    def fail_off_main(z):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("span failed")
-        return argmax(z)
-
-    monkeypatch.setattr(nn, "_argmax_rows", fail_off_main)
-    with pytest.raises(RuntimeError, match="span failed"):
-        m.net.predict(hot, ks.blocks)
-    monkeypatch.setattr(nn, "_argmax_rows", argmax)
-    got = m.net.predict(hot, ks.blocks)
-    assert all((got[t] == want[t]).all() for t in want)
-
-
-
-def _buffers(spans: int) -> list:
-    """The calling thread's kept buffers of its first ``spans`` spans."""
-    return nn._kept.spans[:spans]
-
-
-@pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
-def test_span_buffers_kept_between_calls(arch, monkeypatch):
-    """A second call of the same size on one thread runs in the buffers of
-    the first, and gives the same codes."""
+def test_span_buffers_kept_between_calls(arch):
+    """A second call of the same size on one thread runs in the buffer of
+    the first, a smaller call reuses it too, and both give the same codes
+    as the first."""
     ks = KEY_SPACES["composite"]
     m = _model(ks, arch)
-    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
     hot = ks.hot_positions(_keys(ks, 2 * INFER_BATCH + 3))
     first = m.net.predict(hot, ks.blocks)
-    kept = _buffers(2)
+    kept = nn._kept.buf
     second = m.net.predict(hot, ks.blocks)
-    assert len(_buffers(2)) == len(kept) == 2
-    assert all(np.shares_memory(a, b) for a, b in zip(kept, _buffers(2)))
+    assert nn._kept.buf is kept
     assert all((first[t] == second[t]).all() for t in first)
+    small = m.net.predict(hot[:100], ks.blocks)
+    assert nn._kept.buf is kept
+    assert all((small[t] == first[t][:100]).all() for t in first)
 
 
-def test_concurrent_callers_get_sequential_codes(monkeypatch):
+def test_concurrent_callers_get_sequential_codes():
     """More calling threads than cores, each with its own batch size and
     all calling predict at once, get the codes of one sequential call per
     batch and never share a buffer."""
     ks = KEY_SPACES["decimal"]
     m = _model(ks, ARCHS["deep-trunk-private-head"])
-    monkeypatch.setattr(nn, "INFER_WORKERS", 2)
     n_threads = len(os.sched_getaffinity(0)) + 1
     sizes = [INFER_BATCH + 5 + 2 * i * INFER_BATCH // n_threads for i in range(n_threads)]
     hots = [ks.hot_positions(_keys(ks, n, seed=n)) for n in sizes]
@@ -184,7 +122,7 @@ def test_concurrent_callers_get_sequential_codes(monkeypatch):
             start.wait()
             for _ in range(3):
                 got[i] = m.net.predict(hots[i], ks.blocks)
-            kept[i] = _buffers(2)
+            kept[i] = nn._kept.buf
         except Exception as e:  # reraised below, on the test's thread
             errors.append(e)
 
@@ -204,4 +142,4 @@ def test_concurrent_callers_get_sequential_codes(monkeypatch):
         assert all((g[t] == w[t]).all() for t in w)
     for i in range(n_threads):
         for j in range(i):
-            assert not any(np.shares_memory(a, b) for a in kept[i] for b in kept[j])
+            assert not np.shares_memory(kept[i], kept[j])

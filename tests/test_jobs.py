@@ -5,6 +5,8 @@ import pathlib
 import re
 import shlex
 import sys
+import tempfile
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,3 +113,32 @@ def test_documented_commands_parse_and_match_run_all(monkeypatch, doc):
             _main(monkeypatch, job, argv)
         if job in run_all:
             assert _settings(argv) == _settings(run_all[job]), (doc, job)
+
+
+@pytest.mark.parametrize("name", TABLE_JOBS)
+def test_table_job_removes_its_temporary_workdir(monkeypatch, tmp_path, name):
+    """Without ``--workdir`` a job writes its partitions to a temporary
+    directory and removes it when the job ends; a given ``--workdir`` is
+    kept."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    monkeypatch.syspath_prepend(str(JOBS))
+    module = importlib.import_module(name)
+    used = []
+
+    def table(spark, workdir):
+        used.append(workdir)
+        (pathlib.Path(workdir) / "part-0.bin").write_bytes(b"x" * 1024)
+        return SimpleNamespace(markdown="| table |")
+
+    monkeypatch.setattr(module, "get_spark", lambda app: None)
+    monkeypatch.setattr(module, name, table)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py"])
+    module.main()
+    assert pathlib.Path(used[0]).parent == tmp_path and used[0].startswith(str(tmp_path / "repro-job-"))
+    assert not list(tmp_path.glob("repro-job-*"))
+
+    kept = tmp_path / "kept"
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--workdir", str(kept)])
+    module.main()
+    assert used[1] == str(kept) and (kept / "part-0.bin").exists()

@@ -3,6 +3,7 @@ import os
 import pickle
 import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -16,7 +17,7 @@ from hypothesis.stateful import (
 from repro.baselines.memory_pool import MemoryPool
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
 from repro.core.encoding import KeySpace
-from repro.core.model import TrainConfig
+from repro.core.model import MappingModel, TrainConfig
 from repro.core.nn import ArchSpec
 
 CFG = DeepMappingConfig(
@@ -450,11 +451,14 @@ class _ModificationMachine(RuleBasedStateMachine):
         ):
             self.REACHED.add("insert grew radix")
 
-    def _check_lookup(self, keys: list[tuple[int, ...]], out: pd.DataFrame) -> None:
+    def _check_lookup(self, keys: list[tuple[int, ...]], out: pd.DataFrame, cols=None) -> None:
+        cols = cols or self.VALUE_COLS
+        assert list(out.columns) == self.KEY_COLS + cols
         assert out[self.KEY_COLS].to_numpy().tolist() == [list(k) for k in keys]
         for i, k in enumerate(keys):
             want = self.oracle.get(k)
-            for j, c in enumerate(self.VALUE_COLS):
+            for c in cols:
+                j = self.VALUE_COLS.index(c)
                 got = out[c].iloc[i]
                 if want is None:
                     assert got is None, (k, c, got)
@@ -498,9 +502,14 @@ class _ModificationMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def lookup(self, data):
+        """A batch of keys, and a non-empty subset of the value columns in
+        any order."""
         candidates = st.sampled_from(self.domain + self.OUT_OF_DOMAIN)
         keys = data.draw(st.lists(candidates, min_size=1, max_size=12))
-        self._check_lookup(keys, self.dm.lookup(np.array(keys)))
+        cols = data.draw(st.permutations(self.VALUE_COLS).flatmap(
+            lambda p: st.integers(1, len(p)).map(lambda k: p[:k])
+        ))
+        self._check_lookup(keys, self.dm.lookup(np.array(keys), cols=cols), cols)
 
     @rule(lo=st.integers(-2, 70), width=st.integers(0, 30))
     def lookup_range(self, lo, width):
@@ -544,8 +553,19 @@ class _ModificationMachine(RuleBasedStateMachine):
 
     @invariant()
     def lossless(self):
+        """Every key of the domain and beyond; the model runs once, on the
+        existing keys that ``T_aux`` does not hold."""
         keys = self.domain + self.OUT_OF_DOMAIN
-        self._check_lookup(keys, self.dm.lookup(np.array(keys)))
+        rows, predict = [], MappingModel.predict
+
+        def spy(model, hot, blocks):
+            rows.append(len(hot))
+            return predict(model, hot, blocks)
+
+        with mock.patch.object(MappingModel, "predict", spy):
+            out = self.dm.lookup(np.array(keys))
+        self._check_lookup(keys, out)
+        assert rows == [self.dm.vexist.count() - self.dm.aux.n_entries]
 
     @invariant()
     def aux_holds_exactly_the_misses(self):
