@@ -22,6 +22,10 @@ from ..core.encoding import LabelCodec
 
 __all__ = ["DeepSqueezeStore"]
 
+# the autoencoder d -> HIDDEN -> LATENT_DIM -> HIDDEN -> d and its training
+LATENT_DIM, HIDDEN = 12, 32
+EPOCHS, LR, SEED = 3, 1e-2, 0
+
 
 def _relu(x):
     return np.maximum(x, 0.0)
@@ -30,33 +34,19 @@ def _relu(x):
 class DeepSqueezeStore:
     """Autoencoder-compressed table with exact-match corrections."""
 
-    def __init__(
-        self,
-        *,
-        latent_dim: int = 12,
-        hidden: int = 32,
-        epochs: int = 3,
-        lr: float = 1e-2,
-        seed: int = 0,
-        pool=None,
-    ):
+    def __init__(self, *, pool=None):
         """``pool`` (a MemoryPool) charges each query batch the simulated
         device read of the whole stored representation: DS has no
         partition/index structure, so answering any key means loading the
         full compressed table and decoding it through the autoencoder —
         the behaviour behind its huge latencies (and OOMs) in the paper."""
-        self.latent_dim = latent_dim
-        self.hidden = hidden
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
         self.pool = pool
         self.columns: list[str] = []
         self._built = False
 
     # ------------------------------------------------------------------ build
     def build(self, keys: np.ndarray, values: dict[str, np.ndarray]) -> None:
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         self.columns = list(values)
         order = np.argsort(np.asarray(keys, dtype=np.int64), kind="stable")
         self._keys = np.asarray(keys, dtype=np.int64)[order]
@@ -73,14 +63,14 @@ class DeepSqueezeStore:
         def init(a, b):
             return (rng.standard_normal((a, b)) * np.sqrt(2.0 / a)).astype(np.float32)
 
-        w1, w2 = init(d, self.hidden), init(self.hidden, self.latent_dim)
-        w3, w4 = init(self.latent_dim, self.hidden), init(self.hidden, d)
-        b1 = np.zeros(self.hidden, np.float32)
-        b2 = np.zeros(self.latent_dim, np.float32)
-        b3 = np.zeros(self.hidden, np.float32)
+        w1, w2 = init(d, HIDDEN), init(HIDDEN, LATENT_DIM)
+        w3, w4 = init(LATENT_DIM, HIDDEN), init(HIDDEN, d)
+        b1 = np.zeros(HIDDEN, np.float32)
+        b2 = np.zeros(LATENT_DIM, np.float32)
+        b3 = np.zeros(HIDDEN, np.float32)
         b4 = np.zeros(d, np.float32)
         bs = 4096
-        for _ in range(self.epochs):
+        for _ in range(EPOCHS):
             perm = rng.permutation(n)
             for s in range(0, n, bs):
                 xb = x[perm[s : s + bs]]
@@ -98,7 +88,7 @@ class DeepSqueezeStore:
                 gw1, gb1 = xb.T @ gh1, gh1.sum(0)
                 for p, gr in ((w1, gw1), (w2, gw2), (w3, gw3), (w4, gw4),
                               (b1, gb1), (b2, gb2), (b3, gb3), (b4, gb4)):
-                    p -= self.lr * gr
+                    p -= LR * gr
         self._dec = (w3, b3, w4, b4)
 
         # --- quantize latents to uint8 bins (the paper's quantization) ---

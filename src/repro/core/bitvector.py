@@ -99,9 +99,7 @@ class BitVector:
 
     def set_indices(self) -> np.ndarray:
         """Dense indices of all set bits, ascending."""
-        return np.flatnonzero(np.unpackbits(self._bits, count=self.size)).astype(
-            np.int64
-        )
+        return self.set_indices_in_range(0, self.size)
 
     def set_indices_in_range(self, lo: int, hi: int) -> np.ndarray:
         """Set bits with lo <= index < hi — the paper's range-query filter."""

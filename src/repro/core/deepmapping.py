@@ -17,7 +17,8 @@ Implements:
   batch inference on the existing keys ``T_aux`` does not hold → decode);
   :meth:`lookup_arrays` is the same without the NULL-filled DataFrame edge,
 * :meth:`insert` / :meth:`delete` / :meth:`update` — Algorithms 3/4/5,
-  piggy-backing on ``T_aux`` with a size-threshold retrain trigger,
+  piggy-backing on ``T_aux`` with a size-threshold retrain trigger; insert
+  and update check their keys and then share one write, :meth:`_write`,
 * :meth:`lookup_range` — Sec. IV-E batch-inference range extension,
 * :meth:`storage_breakdown` — the per-component sizes behind Fig. 6 and
   the Eq. 1 objective.
@@ -272,13 +273,7 @@ class DeepMapping:
         dense = self._batch_keys(df)
         if self.vexist.get(dense).any():
             raise ValueError("insert of an existing key — use update()")
-        codecs, codes, wrong = self._encode(df, dense)
-        if wrong.any():
-            self.aux.apply(
-                upsert_keys=dense[wrong],
-                upsert_codes={c: v[wrong] for c, v in codes.items()},
-            )
-        self._set_codecs(codecs)
+        self._write(df, dense)
         self.vexist.set(dense)
         self._maybe_retrain()
 
@@ -297,13 +292,7 @@ class DeepMapping:
         dense = self._batch_keys(df)
         if not self.vexist.get(dense).all():
             raise KeyError("update of a non-existing key — use insert()")
-        codecs, codes, wrong = self._encode(df, dense)
-        self.aux.apply(
-            upsert_keys=dense[wrong],
-            upsert_codes={c: v[wrong] for c, v in codes.items()},
-            remove_keys=dense[~wrong],
-        )
-        self._set_codecs(codecs)
+        self._write(df, dense)
         self._maybe_retrain()
 
     # ------------------------------------------------------------ retraining
@@ -347,19 +336,22 @@ class DeepMapping:
             raise ValueError("duplicate keys in one modification batch")
         return dense
 
-    def _encode(
-        self, df: pd.DataFrame, dense: np.ndarray
-    ) -> tuple[dict[str, LabelCodec], dict[str, np.ndarray], np.ndarray]:
-        """(codecs, codes, misclassified mask) for a modification batch,
-        leaving the structure untouched. A codec meeting unseen categories is
-        replaced by an extended copy: the fixed-output model can never
-        predict those, so the rows land in T_aux — exactly the lazy-update
-        semantics of Sec. IV-D."""
+    def _write(self, df: pd.DataFrame, dense: np.ndarray) -> None:
+        """Algorithms 3 and 5's shared step: the batch's rows the model gets
+        wrong enter ``T_aux`` with the codes of every column, and its other
+        keys leave ``T_aux``. A codec meeting unseen categories is replaced
+        by an extended copy: the fixed-output model can never predict those,
+        so the rows land in T_aux — exactly the lazy-update semantics of
+        Sec. IV-D. The codecs change only once ``T_aux`` took the batch, so
+        a failed write leaves the structure unchanged."""
         codecs = {c: self.codecs[c].extended(df[c]) for c in self.value_cols}
         codes = {c: codecs[c].encode(df[c]) for c in self.value_cols}
-        return codecs, codes, misclassified(self.model, self.key_space, dense, codes)
-
-    def _set_codecs(self, codecs: dict[str, LabelCodec]) -> None:
+        wrong = misclassified(self.model, self.key_space, dense, codes)
+        self.aux.apply(
+            upsert_keys=dense[wrong],
+            upsert_codes={c: v[wrong] for c, v in codes.items()},
+            remove_keys=dense[~wrong],
+        )
         if any(codecs[c] is not self.codecs[c] for c in codecs):
             self.codecs = codecs
             self.pool.pin("dm:fdecode", decode_map_bytes(self.codecs))

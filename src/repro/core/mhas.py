@@ -35,7 +35,7 @@ import pandas as pd
 from .deepmapping import DeepMapping, DeepMappingConfig, encode_relation
 from .encoding import KeySpace, LabelCodec
 from .model import MappingModel
-from .nn import ArchSpec, _Dense, softmax
+from .nn import ArchSpec, _Dense, adam_update, softmax
 
 __all__ = ["MHASConfig", "MHASResult", "mhas_search", "WeightBank", "eq1_ratio"]
 
@@ -259,15 +259,11 @@ class LSTMController:
             grads["start"] += dx_next  # x at t=0 is the start token
         self._adam_step(grads, scale=1.0 / max(1, len(traces)))
 
-    def _adam_step(self, grads, scale=1.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def _adam_step(self, grads, scale=1.0):
         self._t += 1
-        lr = self.cfg.controller_lr
         for k, p in self.params.items():
-            g = grads[k] * scale
             m, v = self._adam[k]
-            m[:] = beta1 * m + (1 - beta1) * g
-            v[:] = beta2 * v + (1 - beta2) * g * g
-            p -= lr * (m / (1 - beta1**self._t)) / (np.sqrt(v / (1 - beta2**self._t)) + eps)
+            adam_update(p, grads[k] * scale, m, v, self.cfg.controller_lr, self._t)
 
 
 # --------------------------------------------------------------------------

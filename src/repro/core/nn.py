@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ArchSpec", "TrainConfig", "MultiTaskMLP", "softmax", "INFER_BATCH"]
+__all__ = ["ArchSpec", "TrainConfig", "MultiTaskMLP", "softmax", "adam_update", "INFER_BATCH"]
 
 INFER_BATCH = 8192  # keys per forward pass at inference; set by measurement
 
@@ -41,6 +41,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_update(p, g, m, v, lr: float, t: int) -> None:
+    """Adam step ``t`` (from 1) of ``p`` along ``g`` (Kingma & Ba, ICLR 2015),
+    in place: the moments ``m`` and ``v`` first, then the bias-corrected step."""
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    p -= lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -95,18 +108,12 @@ class _Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w + self.b
 
-    def adam_step(self, gw, gb, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(self, gw, gb, lr, t):
         if self.adam is None:
             self.adam = [np.zeros_like(p) for p in (self.w, self.w, self.b, self.b)]
         mw, vw, mb, vb = self.adam
-        for g, p, m, v in ((gw, self.w, mw, vw), (gb, self.b, mb, vb)):
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g * g
-            mhat = m / (1 - beta1**t)
-            vhat = v / (1 - beta2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        adam_update(self.w, gw, mw, vw, lr, t)
+        adam_update(self.b, gb, mb, vb, lr, t)
 
     @property
     def nbytes(self) -> int:

@@ -10,6 +10,9 @@ budget — the paper's two regimes:
   partitions while DeepMapping's resident structure fits;
 * *fits memory* (Table II): unbounded pool.
 
+DM-Z and DM-L differ only in the codec that compresses ``T_aux``, so one
+network is trained per dataset and both are built around it.
+
 Latency per batch is the mean of ``repeats`` timed runs (paper: 5),
 after the store answered one warm-up batch. Pool counters are recorded
 per batch size over the timed runs only: they are reset after the
@@ -38,6 +41,11 @@ from ..workloads.datasets import Workload, uncompressed_nbytes
 from ..workloads.queries import random_key_batch
 
 __all__ = ["MethodResult", "ExperimentConfig", "run_lookup_experiment", "build_method", "METHODS"]
+
+# simulated storage-device bandwidth of every bounded pool, bytes/s: 25 MB/s
+# stands in for the paper's edge/EBS disk (DESIGN.md §2.6)
+IO_BANDWIDTH = 25e6
+PARTITION_BYTES = 64 * 1024  # every store's partition size, T_aux's too
 
 # method name → (store kind, codec)
 METHODS: dict[str, tuple[str, str]] = {
@@ -69,12 +77,7 @@ class MethodResult:
 class ExperimentConfig:
     batch_sizes: tuple[int, ...] = (100, 1000, 10000)
     pool_fraction: float | None = 0.3  # None → unbounded (fits-memory regime)
-    # simulated storage-device bandwidth (bytes/s); None = page-cache speed.
-    # 25 MB/s stands in for the paper's edge/EBS disk (DESIGN.md §2.6)
-    io_bandwidth: float | None = 25e6
-    partition_bytes: int = 64 * 1024
     repeats: int = 3
-    seed: int = 0
     dm_arch: ArchSpec = ArchSpec((128,), {})
     dm_train: TrainConfig = TrainConfig()
 
@@ -84,7 +87,7 @@ class ExperimentConfig:
         budget = None
         if self.pool_fraction is not None:
             budget = max(1 << 16, int(raw_bytes * self.pool_fraction))
-        return MemoryPool(budget, io_bandwidth=self.io_bandwidth)
+        return MemoryPool(budget, io_bandwidth=IO_BANDWIDTH)
 
 
 class _StoreAdapter:
@@ -143,7 +146,7 @@ def build_method(
     if kind == "deepmapping":  # encodes the relation itself
         dm_cfg = DeepMappingConfig(
             arch=cfg.dm_arch, train=cfg.dm_train, codec=codec,
-            partition_bytes=cfg.partition_bytes,
+            partition_bytes=PARTITION_BYTES,
         )
         dm = DeepMapping.build(
             pdf, list(workload.key_cols), list(workload.value_cols), dm_cfg,
@@ -155,7 +158,7 @@ def build_method(
         st = DeepSqueezeStore(pool=pool)
     else:
         st = {"array": ArrayStore, "hash": HashStore}[kind](
-            workdir, codec=codec, partition_bytes=cfg.partition_bytes,
+            workdir, codec=codec, partition_bytes=PARTITION_BYTES,
             pool=pool, name=f"{method}-{workload.name}",
         )
     st.build(
@@ -192,21 +195,22 @@ def run_lookup_experiment(
     raw_bytes = uncompressed_nbytes(pdf[list(workload.key_cols) + list(workload.value_cols)])
     results: dict[str, MethodResult] = {}
     batches = {
-        b: random_key_batch(pdf, list(workload.key_cols), b, seed=cfg.seed + b)
+        b: random_key_batch(pdf, list(workload.key_cols), b, seed=b)
         for b in cfg.batch_sizes
     }
-    # one shared MHAS/model across DM variants would be fair; each DM variant
-    # trains its own identical-config model here (deterministic seed → same net)
+    dm_model = None  # the first DM variant's network, shared by the others
     for method in methods:
         pool = cfg.pool(raw_bytes)
         adapter = build_method(
-            method, workload, pdf, os.path.join(workdir, method), pool=pool, cfg=cfg
+            method, workload, pdf, os.path.join(workdir, method), pool=pool, cfg=cfg,
+            dm_model=dm_model,
         )
         _verify(adapter, pdf, workload)
         pool.clear()
         pool.stats.reset()
         res = MethodResult(method=method, storage_mb=adapter.nbytes_disk / 1e6)
         if adapter.kind == "deepmapping":
+            dm_model = adapter.obj.model
             res.breakdown = adapter.obj.storage_breakdown()
             res.extra["memorized_fraction"] = adapter.obj.memorized_fraction
         for b, keys in batches.items():

@@ -13,7 +13,7 @@ def store():
         "cat": rng.choice(np.array(["x", "y", "z"]), 2000),
         "num": rng.integers(0, 40, 2000),
     }
-    st = DeepSqueezeStore(epochs=2, seed=0)
+    st = DeepSqueezeStore()
     st.build(keys, values)
     return st, keys, values
 
@@ -58,7 +58,7 @@ def test_unsorted_build_keys():
     rng = np.random.default_rng(1)
     keys = rng.permutation(500).astype(np.int64)
     vals = {"v": rng.integers(0, 9, 500)}
-    st = DeepSqueezeStore(epochs=1)
+    st = DeepSqueezeStore()
     st.build(keys, vals)
     found, out = st.lookup_batch(keys)
     assert found.all() and (out["v"] == vals["v"]).all()
@@ -69,7 +69,7 @@ def test_compresses_structured_data_better_than_noise():
     structured = {"v": (keys % 10 % 4)}
     rng = np.random.default_rng(2)
     noisy = {"v": rng.integers(0, 4, 3000)}
-    s1, s2 = DeepSqueezeStore(epochs=3), DeepSqueezeStore(epochs=3)
+    s1, s2 = DeepSqueezeStore(), DeepSqueezeStore()
     s1.build(keys, structured)
     s2.build(keys, noisy)
     assert s1.nbytes_disk <= s2.nbytes_disk
@@ -80,7 +80,7 @@ def test_pool_charged_per_batch():
     pool = MemoryPool(None, io_bandwidth=1e9)
     rng = np.random.default_rng(3)
     keys = np.arange(500, dtype=np.int64)
-    st = DeepSqueezeStore(epochs=1, pool=pool)
+    st = DeepSqueezeStore(pool=pool)
     st.build(keys, {"v": rng.integers(0, 5, 500)})
     st.lookup_batch(keys[:10])
     st.lookup_batch(keys[:10])

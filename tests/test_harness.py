@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import deepmapping
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
 from repro.experiments.harness import (
@@ -73,6 +74,19 @@ def test_high_correlation_dm_beats_abc_storage(workload, tmp_path):
     assert res["DM-Z"].storage_mb < res["ABC-Z"].storage_mb
 
 
+def test_dm_variants_share_one_network(workload, tmp_path, monkeypatch):
+    """DM-Z and DM-L differ only in T_aux's codec, so one network is
+    trained per dataset and both are built around it."""
+    wl, pdf = workload
+    trained, real = [], deepmapping.train_model
+    monkeypatch.setattr(
+        deepmapping, "train_model", lambda *a, **k: trained.append(real(*a, **k)) or trained[-1]
+    )
+    res = run_lookup_experiment(wl, pdf, ["DM-Z", "AB", "DM-L"], str(tmp_path), CFG)
+    assert len(trained) == 1
+    assert res["DM-Z"].breakdown["model"] == res["DM-L"].breakdown["model"]
+
+
 def test_small_pool_causes_misses(workload, tmp_path):
     wl, pdf = workload
     cfg = ExperimentConfig(batch_sizes=(500,), pool_fraction=0.05, repeats=1,
@@ -103,7 +117,7 @@ def test_pool_stats_scoped_to_timed_repeats(workload, tmp_path):
     st = build_method("AB", wl, pdf, str(tmp_path / "ref"), cfg=cfg).obj
     ks = wl.key_space(pdf)
     for b in cfg.batch_sizes:
-        batch = random_key_batch(pdf, list(wl.key_cols), b, seed=cfg.seed + b)
+        batch = random_key_batch(pdf, list(wl.key_cols), b, seed=b)
         touched = len(np.unique(np.searchsorted(st._lo, ks.dense_index(batch), "right")))
         stats = res["AB"].pool_stats[b]
         assert stats["misses"] > 0

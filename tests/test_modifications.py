@@ -15,6 +15,7 @@ from hypothesis.stateful import (
 )
 
 from repro.baselines.memory_pool import MemoryPool
+from repro.core.aux_table import AuxTable
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
 from repro.core.encoding import KeySpace
 from repro.core.model import MappingModel, TrainConfig
@@ -312,6 +313,80 @@ class TestRejectedModification:
         assert _state(d) == before
         out = d.lookup(np.array([3]))
         assert out["easy"][0] == df["easy"][2] and out["hard"][0] == df["hard"][2]
+
+
+class TestWrite:
+    """Insert (Algorithm 3) and update (Algorithm 5) share one write: one
+    ``T_aux`` rewrite per batch, whose upserts are the rows the model gets
+    wrong, with every column's codes, and whose removals are the batch's
+    other keys."""
+
+    BATCHES = {
+        "insert": lambda: _relation(100, start=1001, seed=13),
+        "update": lambda: _relation(100, start=1, seed=13),  # new 'hard' values
+    }
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    def test_one_apply_of_misses_and_removals(self, dm, monkeypatch, op):
+        d, _ = dm
+        batch = self.BATCHES[op]()
+        dense = d.key_space.dense_index(batch[["key"]].to_numpy())
+        codes = {c: d.codecs[c].encode(batch[c]) for c in d.value_cols}
+        wrong = misclassified(d.model, d.key_space, dense, codes)
+        assert wrong.any() and not wrong.all()
+        calls, real = [], AuxTable.apply
+
+        def spy(self, **kw):
+            calls.append(kw)
+            return real(self, **kw)
+
+        monkeypatch.setattr(AuxTable, "apply", spy)
+        getattr(d, op)(batch)
+        assert len(calls) == 1
+        (kw,) = calls
+        assert kw["upsert_keys"].tolist() == dense[wrong].tolist()
+        assert sorted(kw["upsert_codes"]) == sorted(d.value_cols)
+        for c, v in kw["upsert_codes"].items():
+            assert v.tolist() == codes[c][wrong].tolist()
+        assert kw["remove_keys"].tolist() == dense[~wrong].tolist()
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    def test_failed_apply_leaves_structure_unchanged(self, dm, monkeypatch, op):
+        """The batch brings unseen categories (100, 101), so the write
+        extends both codecs before ``apply`` fails."""
+        d, df = dm
+        keys = [1500, 1501] if op == "insert" else [3, 4]
+        before = _state(d), d.vexist.set_indices().tolist(), d.pool.pinned_bytes
+        codecs = dict(d.codecs)
+
+        def fail(self, **kw):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(AuxTable, "apply", fail)
+        with pytest.raises(OSError):
+            getattr(d, op)(pd.DataFrame({"key": keys, "easy": [100, 1], "hard": [101, 2]}))
+        assert (_state(d), d.vexist.set_indices().tolist(), d.pool.pinned_bytes) == before
+        assert all(d.codecs[c] is codecs[c] for c in d.value_cols)
+        monkeypatch.undo()
+        out = d.lookup(np.array([3, 4, 1500, 1501]))
+        assert out["easy"].tolist() == df["easy"].tolist()[2:4] + [None, None]
+        assert out["hard"].tolist() == df["hard"].tolist()[2:4] + [None, None]
+
+    def test_insert_with_no_miss_answers_every_key(self, dm):
+        """An insert whose rows the model all predicts rewrites ``T_aux``
+        with the same rows, and every key keeps its answer."""
+        d, df = dm
+        keys = np.arange(1001, 1101)
+        pred = predict_codes(d.model, d.key_space, d.key_space.dense_index(keys[:, None]),
+                             d.value_cols)
+        new = pd.DataFrame({"key": keys, **{c: d.codecs[c].decode(pred[c]) for c in d.value_cols}})
+        aux_before = _state(d)[1:3]
+        d.insert(new)
+        assert _state(d)[1:3] == aux_before
+        want = pd.concat([df, new], ignore_index=True)
+        out = d.lookup(want["key"].to_numpy())
+        for c in d.value_cols:
+            assert out[c].tolist() == want[c].tolist()
 
 
 def test_one_aux_generation_on_disk(dm):

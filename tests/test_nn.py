@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 
 from repro.core.encoding import KeySpace
-from repro.core.nn import ArchSpec, MultiTaskMLP, TrainConfig, softmax
+from repro.core.nn import ArchSpec, MultiTaskMLP, TrainConfig, adam_update, softmax
 
 
 def _toy(n=600, seed=0):
@@ -21,6 +21,23 @@ def _toy(n=600, seed=0):
 def _hot(ks, n):
     """Factored features of the first ``n`` keys of ``_toy``: predict's input."""
     return ks.hot_positions(np.arange(n)), ks.blocks
+
+
+def test_adam_update_two_textbook_steps():
+    """Kingma & Ba's Algorithm 1 with beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+    Step 1: m = 0.1 g, v = 0.001 g², so the bias-corrected step is
+    lr·g / (|g| + eps). Step 2: m = [0.055, -0.07], v = [0.00025975,
+    0.001039], corrected by 1 - 0.9² = 0.19 and 1 - 0.999² = 0.001999."""
+    p, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
+    adam_update(p, np.array([0.5, -1.0]), m, v, 0.1, 1)
+    assert np.allclose(p, [1 - 0.1 * 0.5 / (0.5 + 1e-8), -2 + 0.1 * 1 / (1 + 1e-8)], rtol=0, atol=1e-15)
+    adam_update(p, np.array([0.1, 0.2]), m, v, 0.1, 2)
+    assert np.allclose(m, [0.055, -0.07], rtol=1e-12)
+    assert np.allclose(v, [0.00025975, 0.001039], rtol=1e-12)
+    step = [0.1 * (0.055 / 0.19) / (np.sqrt(0.00025975 / 0.001999) + 1e-8),
+            0.1 * (-0.07 / 0.19) / (np.sqrt(0.001039 / 0.001999) + 1e-8)]
+    assert np.allclose(p, [0.900000002 - step[0], -1.900000001 - step[1]], rtol=1e-12)
+    assert np.allclose(p, [0.8196959063846518, -1.8488973939904947], rtol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():

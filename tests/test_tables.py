@@ -1,6 +1,7 @@
 """Smoke + shape tests for the Table I–V emitters at tiny scale."""
 import pytest
 
+from repro.core import deepmapping
 from repro.core.model import TrainConfig
 from repro.core.nn import ArchSpec
 from repro.experiments.harness import ExperimentConfig
@@ -101,6 +102,22 @@ class TestModificationTables:
         # DM-Z1 reported only from the retrain step on
         z1 = {r["step"]: r for r in rows if r["method"] == "DM-Z1"}
         assert z1[0]["storage_mb"] is None and z1[2]["storage_mb"] is not None
+
+    def test_dm_z1_starts_from_dm_z_network(self, spark, tmp_path, cfg, monkeypatch):
+        """One network is trained for DM-Z and DM-Z1; DM-Z1's retrain trains
+        the only other one."""
+        trained, real = [], deepmapping.train_model
+        monkeypatch.setattr(
+            deepmapping, "train_model", lambda *a, **k: trained.append(real(*a, **k)) or trained[-1]
+        )
+        rows = run_modification_experiment(
+            spark, str(tmp_path), corr="high", op="insert_same",
+            n_base=self.N_BASE, n_steps=2, batch_size=self.B,
+            methods=["DM-Z", "DM-Z1"], cfg=cfg,
+        )
+        assert len(trained) == 2
+        z1 = [r for r in rows if r["method"] == "DM-Z1" and r["storage_mb"] is not None]
+        assert [r["step"] for r in z1] == [2] and "memorized" in z1[0]
 
     def test_insert_cross_distribution_grows_aux(self, spark, tmp_path, cfg):
         rows = run_modification_experiment(
