@@ -39,21 +39,20 @@ lookup see the same payload in either layout and a lookup never unpacks.
 An insert that adds a larger code grows that column's radix in the next
 generation.
 
-``V_aux`` is written into the generation's directory, compressed with the
-table's codec, and counts in :attr:`AuxTable.nbytes_disk` (Eq. 1). In
-memory it is pinned in the pool together with its rank directory. It is
-not pickled: an unpickled table reads it back from the generation's file,
-as it reads the partitions.
+``V_aux`` is kept as ``V_exist`` is: resident, pinned in the pool together
+with its rank directory, and pickled with the table. Eq. 1 counts it in
+:attr:`AuxTable.nbytes_disk` by the length of its packed bits compressed
+with the table's codec; no file holds that blob, so a generation's
+directory holds only its partitions.
 
-``T_aux`` exists only as ``V_aux`` and the partitions: on disk, and in the
-pool while resident. Modifications (Algorithms 3–5) read every row back
+``T_aux``'s rows exist only in the partitions: on disk, and in the pool
+while resident. Modifications (Algorithms 3–5) read every row back
 through the pool, merge the delta and write the rows as a new generation
 directory; the previous generation is deleted once the new one is on disk.
 """
 from __future__ import annotations
 
 import math
-import os
 import shutil
 
 import numpy as np
@@ -64,8 +63,6 @@ from ..baselines.partition_store import PartitionedStore
 from .bitvector import BitVector
 
 __all__ = ["AuxTable"]
-
-_VAUX_FILE = "vaux.bin"
 
 
 def _rows_per_word(base: int) -> int:
@@ -188,7 +185,7 @@ class AuxTable:
         self.columns: list[str] = []
         self._store: _CodeStore | None = None
         self._vaux: BitVector | None = None
-        self._vaux_nbytes = 0  # V_aux's file size; 0 when the table is empty
+        self._vaux_nbytes = 0  # V_aux compressed; 0 when the table is empty
         self._gen = 0
 
     # -- construction ---------------------------------------------------------
@@ -220,21 +217,18 @@ class AuxTable:
             name=f"aux-g{self._gen + 1}",
         )
         try:
-            blob = st.codec.compress(vaux.raw_bytes()) if len(keys) else b""
+            vaux_nbytes = len(st.codec.compress(vaux.raw_bytes())) if len(keys) else 0
             st.build(np.arange(len(keys)), {
                 c: v[order].astype(_min_int_dtype(int(v.max(initial=0)) + 1))
                 for c, v in codes.items()
             })
-            if blob:
-                with open(os.path.join(st.dir, _VAUX_FILE), "wb") as f:
-                    f.write(blob)
         except BaseException:
             shutil.rmtree(st.dir, ignore_errors=True)
             raise
         old = self._store
         self._gen += 1
         self.columns = list(codes)
-        self._store, self._vaux, self._vaux_nbytes = st, vaux, len(blob)
+        self._store, self._vaux, self._vaux_nbytes = st, vaux, vaux_nbytes
         self.pool.pin("aux:vaux", vaux.nbytes_resident() + vaux.rank_directory().nbytes)
         if old is not None:
             for pi in range(old.n_partitions):
@@ -283,7 +277,7 @@ class AuxTable:
 
     @property
     def nbytes_disk(self) -> int:
-        """Partitions plus the ``V_aux`` file."""
+        """Partitions plus ``V_aux`` compressed with the table's codec."""
         return self._store.nbytes_disk + self._vaux_nbytes if self._store is not None else 0
 
     def master(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -295,21 +289,3 @@ class AuxTable:
         return self._vaux.set_indices(), {
             c: v.astype(np.int32) for c, v in self._store.codes().items()
         }
-
-    # -- pickling ---------------------------------------------------------------
-    def __getstate__(self):
-        state = {k: v for k, v in self.__dict__.items() if k != "_vaux"}
-        state["vaux_size"] = None if self._vaux is None else self._vaux.size
-        return state
-
-    def __setstate__(self, state):
-        size = state.pop("vaux_size")
-        self.__dict__.update(state)
-        self._vaux = None if size is None else self._read_vaux(size)
-
-    def _read_vaux(self, size: int) -> BitVector:
-        """The current generation's ``V_aux``, read back from its file."""
-        if size == 0:  # an empty table writes no file
-            return BitVector(0)
-        with open(os.path.join(self._store.dir, _VAUX_FILE), "rb") as f:
-            return BitVector.from_raw(self._store.codec.decompress(f.read()), size)

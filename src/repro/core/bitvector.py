@@ -6,9 +6,9 @@ dense index i exists. Backed by ``numpy.packbits`` (the paper uses the
 At-rest size is the packed bits zlib-compressed, matching the paper's
 note that ``V_exist`` is (de)compressed ("randomness in decompressing
 V_exist"); nothing stores that blob, so only its length is computed.
-:meth:`BitVector.raw_bytes`/:meth:`BitVector.from_raw` are the vector's
-one serialized form; ``T_aux`` writes them through its codec as the
-``V_aux`` file.
+The vector travels in the structure's pickle, without its rank
+directory; ``T_aux``'s ``V_aux`` is sized the same way, through the
+table's codec.
 
 :meth:`BitVector.rank` counts the set bits below an index in O(1): a
 directory holds one int32 cumulative count per 64-bit word (Jacobson,
@@ -75,6 +75,9 @@ class BitVector:
     def __getitem__(self, i: int) -> bool:
         return bool(self.get(np.array([i]))[0])
 
+    def __getstate__(self):  # the rank directory is rebuilt on first use
+        return {**self.__dict__, "_rank_dir": None}
+
     def rank_directory(self) -> np.ndarray:
         """Set bits before each 64-bit word, int32; built on first use and
         rebuilt after a :meth:`set`."""
@@ -115,15 +118,6 @@ class BitVector:
     def raw_bytes(self) -> bytes:
         """The packed bits, uncompressed: one byte per 8 positions."""
         return self._bits[: (self.size + 7) // 8].tobytes()
-
-    @staticmethod
-    def from_raw(raw: bytes, size: int) -> "BitVector":
-        """Inverse of :meth:`raw_bytes`."""
-        bv = BitVector(size)
-        if len(raw) != (size + 7) // 8:
-            raise ValueError("payload length does not match bit vector size")
-        bv._bits[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        return bv
 
     def nbytes_stored(self) -> int:
         """At-rest size in bytes, Eq. 1's size(V_exist): the packed bits

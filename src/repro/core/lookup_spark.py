@@ -3,12 +3,11 @@ Lookup").
 
 The hybrid structure is a read-only object once built, so it is shipped
 to executors with ``SparkContext.broadcast``. The broadcast carries the
-model, ``V_exist``, ``f_decode`` and the partition index of ``T_aux``, but
-neither ``T_aux``'s rows nor its key bit vector ``V_aux`` (memory pools
-drop their runtime caches on pickle, and ``V_aux`` is not pickled):
-executors read both ``V_aux`` and ``T_aux``'s partition files from the
-driver's workdir, so this needs local mode or a filesystem shared with the
-executors.
+model, ``V_exist``, ``f_decode``, ``T_aux``'s key bit vector ``V_aux`` and
+its partition index, but not ``T_aux``'s rows (memory pools drop their
+runtime caches on pickle): executors read only ``T_aux``'s partition files
+from the driver's workdir, so this needs local mode or a filesystem shared
+with the executors.
 Lookups then run as an Arrow-backed ``mapInPandas`` over the query-key
 DataFrame — the paper's batched, parallel inference path. Each batch gets
 the structure's typed result (found-mask plus native-dtype values) and

@@ -1,7 +1,7 @@
 """Multi-task Hybrid Architecture Search (MHAS) — paper Sec. IV-C, Alg. 2.
 
 ENAS-style [Pham et al. '18] search over the paper's space: up to
-``max_shared`` shared hidden layers and up to ``max_private`` private
+``MAX_SHARED`` shared hidden layers and up to ``MAX_PRIVATE`` private
 hidden layers per task, each layer's width chosen from a size grid
 (paper: [100, 2000]; scaled here, DESIGN.md §6).
 
@@ -39,22 +39,23 @@ from .nn import ArchSpec, _Dense, adam_update, softmax
 
 __all__ = ["MHASConfig", "MHASResult", "mhas_search", "WeightBank", "eq1_ratio"]
 
+MAX_SHARED = 2  # paper: up to two shared hidden layers
+MAX_PRIVATE = 2  # paper: up to two private hidden layers per task
+CHILD_LR = 1e-3  # learning rate of a sampled child's training steps
+CONTROLLER_HIDDEN = 64  # paper Sec. V-A.6
+BASELINE_DECAY = 0.8  # of the controller's moving-average reward baseline
+
 
 @dataclass(frozen=True)
 class MHASConfig:
     size_grid: tuple[int, ...] = (16, 32, 64, 128, 256)
-    max_shared: int = 2  # paper: up to two shared hidden layers
-    max_private: int = 2  # paper: up to two private hidden layers per task
     n_iterations: int = 40  # N_t (paper 2000, scaled)
     n_model_train: int = 30  # N_m
     n_controller_train: int = 8  # N_c
     child_epochs: int = 1  # m_epochs per model-training iteration
     child_batch: int = 4096
-    child_lr: float = 1e-3
     controller_lr: float = 3.5e-4  # paper Sec. V-A.6
-    controller_hidden: int = 64  # paper Sec. V-A.6
     controller_samples: int = 4  # architectures sampled per controller step
-    baseline_decay: float = 0.8
     seed: int = 0
 
 
@@ -125,7 +126,7 @@ class LSTMController:
 
     def __init__(self, cfg: MHASConfig, seed: int = 0):
         self.cfg = cfg
-        H, E = cfg.controller_hidden, self.EMB
+        H, E = CONTROLLER_HIDDEN, self.EMB
         rng = np.random.default_rng(seed)
         # paper: parameters initialized uniformly-ish around 0 (N(0, 0.05^2))
         def init(*shape):
@@ -138,12 +139,12 @@ class LSTMController:
             "start": init(E),
         }
         self._types: dict[str, int] = {  # type name -> n_choices
-            "n_layers": max(cfg.max_shared, cfg.max_private) + 1,
+            "n_layers": max(MAX_SHARED, MAX_PRIVATE) + 1,
             "size": len(cfg.size_grid),
         }
         for name, n in self._types.items():
             self.params[f"emb:{name}"] = init(n, E)
-            self.params[f"Wo:{name}"] = init(self.cfg.controller_hidden, n)
+            self.params[f"Wo:{name}"] = init(CONTROLLER_HIDDEN, n)
             self.params[f"bo:{name}"] = np.zeros(n)
         self._adam = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in self.params.items()}
         self._t = 0
@@ -153,7 +154,7 @@ class LSTMController:
     def sample(self, n_tasks: int, rng: np.random.Generator, greedy: bool = False):
         """Returns (decisions, cache). ``decisions`` is a flat list of
         (type, choice); ``cache`` holds everything BPTT needs."""
-        H = self.cfg.controller_hidden
+        H = CONTROLLER_HIDDEN
         h = np.zeros(H)
         c = np.zeros(H)
         x = self.params["start"]
@@ -188,11 +189,11 @@ class LSTMController:
             x = self.params[f"emb:{dtype}"][choice]
             return choice
 
-        n_shared = step("n_layers", self.cfg.max_shared)
+        n_shared = step("n_layers", MAX_SHARED)
         for _ in range(n_shared):
             step("size")
         for _ in range(n_tasks):
-            n_priv = step("n_layers", self.cfg.max_private)
+            n_priv = step("n_layers", MAX_PRIVATE)
             for _ in range(n_priv):
                 step("size")
         return decisions, steps
@@ -212,15 +213,12 @@ class LSTMController:
     def update(self, traces: list[tuple[list[dict], float]]) -> None:
         """``traces`` = [(steps, reward)]. Minimizes −E[advantage·log π]."""
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        H = self.cfg.controller_hidden
+        H = CONTROLLER_HIDDEN
         for steps, reward in traces:
             if self.baseline is None:
                 self.baseline = reward
             adv = reward - self.baseline
-            self.baseline = (
-                self.cfg.baseline_decay * self.baseline
-                + (1 - self.cfg.baseline_decay) * reward
-            )
+            self.baseline = BASELINE_DECAY * self.baseline + (1 - BASELINE_DECAY) * reward
             dh_next = np.zeros(H)
             dc_next = np.zeros(H)
             dx_next = np.zeros(self.EMB)  # grad wrt the embedding fed forward
@@ -319,7 +317,7 @@ def mhas_search(
                     child.net.train_batch(
                         key_space.features_from_dense(dense_keys[b]),
                         child.split_labels({c: v[b] for c, v in codes.items()}),
-                        cfg.child_lr,
+                        CHILD_LR,
                     )
         if it % every_c == 0:  # controller-training iteration (W fixed)
             traces = []

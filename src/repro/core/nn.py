@@ -44,6 +44,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DECAY = 0.999  # learning-rate factor per training step
 
 
 def adam_update(p, g, m, v, lr: float, t: int) -> None:
@@ -81,7 +82,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 512
     lr: float = 1e-3
-    lr_decay: float = 0.999
     seed: int = 0
     tol: float = 1e-4
 
@@ -236,7 +236,8 @@ class MultiTaskMLP:
         head's first layer when there is no trunk) is therefore a sum of
         table rows plus bias: table ``g`` holds the layer's output for every
         digit combination of block ``g``. The tables are derived from the
-        weights here, on every call, and never kept. The logits of the heads
+        weights here, on every call with keys, and never kept; a call with
+        no keys returns empty arrays at once. The logits of the heads
         without private layers come from one stacked matrix. Keys run
         ``INFER_BATCH`` at a time on the calling thread; no key's result
         depends on the others.
@@ -248,6 +249,8 @@ class MultiTaskMLP:
         percent of its latency, because glibc maps buffers of this size
         afresh on every allocation.
         """
+        if not len(hot):
+            return {t: np.empty(0, dtype=np.int32) for t in self.heads}
         first = self.shared[:1] or [layers[0] for layers in self.heads.values()]
         w = np.hstack([lyr.w for lyr in first])
         tables, col = [], 0
@@ -376,7 +379,7 @@ class MultiTaskMLP:
                 b = order[s : s + cfg.batch_size]
                 ep_loss += self.train_batch(x[b], {t: v[b] for t, v in y.items()}, cur_lr)
                 steps += 1
-                cur_lr *= cfg.lr_decay
+                cur_lr *= LR_DECAY
             losses.append(ep_loss / max(1, steps))
             if len(losses) >= 2 and abs(losses[-1] - losses[-2]) < cfg.tol:
                 break

@@ -1,10 +1,11 @@
 """Tests for the row-level auxiliary table (repro.core.aux_table)."""
-import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.baselines.compression import get_codec
 from repro.baselines.memory_pool import MemoryPool
 from repro.baselines.partition_store import PartitionedStore
 from repro.core.aux_table import AuxTable, _CodeStore, _rows_per_word
@@ -263,16 +264,35 @@ def test_loaded_partitions_hold_no_keys(gappy):
         assert payload["cols"]["a"].dtype == np.uint8
 
 
+def _dir_files(path) -> list:
+    return [p for p in path.rglob("*") if p.is_file()]
+
+
 def test_emptied_table_writes_no_vaux(tmp_path):
-    t = AuxTable(str(tmp_path))
-    t.build(np.empty(0, np.int64), {"a": np.empty(0, np.int32)})
-    assert t.nbytes_disk == 0 and not list(tmp_path.rglob("vaux.bin"))
-    t.apply(upsert_keys=np.array([3, 8]), upsert_codes={"a": [1, 2]})
-    assert len(list(tmp_path.rglob("vaux.bin"))) == 1
-    t.apply(remove_keys=np.array([3, 8]))
-    assert t.nbytes_disk == 0 and not list(tmp_path.rglob("vaux.bin"))
-    assert not t.lookup(np.array([3, 8, 0]))[0].any()
-    assert t.master()[0].tolist() == [] and t.master()[1]["a"].tolist() == []
+    """Through build and apply, under both codecs, the directory holds the
+    partitions alone, and ``nbytes_disk`` adds ``V_aux`` compressed with the
+    table's codec, 0 for an empty table."""
+    for codec in ("z", "lzma"):
+        t = AuxTable(str(tmp_path / codec), codec=codec)
+
+        def check():
+            files = _dir_files(tmp_path / codec)
+            assert not any(p.name == "vaux.bin" for p in files)
+            assert sum(p.stat().st_size for p in files) == t._store.nbytes_disk
+            vaux = len(get_codec(codec).compress(t._vaux.raw_bytes())) if t.n_entries else 0
+            assert t.nbytes_disk == t._store.nbytes_disk + vaux
+
+        t.build(np.empty(0, np.int64), {"a": np.empty(0, np.int32)})
+        check()
+        assert t.nbytes_disk == 0
+        t.apply(upsert_keys=np.array([3, 8]), upsert_codes={"a": [1, 2]})
+        check()
+        assert t.nbytes_disk > t._store.nbytes_disk
+        t.apply(remove_keys=np.array([3, 8]))
+        check()
+        assert t.nbytes_disk == 0
+        assert not t.lookup(np.array([3, 8, 0]))[0].any()
+        assert t.master()[0].tolist() == [] and t.master()[1]["a"].tolist() == []
 
 
 def test_upsert_widens_key_span(aux):
@@ -285,18 +305,20 @@ def test_upsert_widens_key_span(aux):
     assert aux.master()[0].tolist() == [0, 1, 5, 9, 70_000]
 
 
-def test_pickle_reads_vaux_back_from_its_file(gappy):
+def test_pickle_carries_vaux(gappy):
+    """``V_aux`` travels in the pickle: loading opens no file, the copy has
+    the same bits, and its lookups and rows equal the original's."""
     t, keys, _ = gappy
     blob = pickle.dumps(t)
-    copy = pickle.loads(blob)
+    with mock.patch("builtins.open", side_effect=AssertionError("file opened")):
+        copy = pickle.loads(blob)
+    assert copy._vaux.size == t._vaux.size
+    assert copy._vaux.raw_bytes() == t._vaux.raw_bytes()
     probe = np.arange(90, 420)
     (m1, c1), (m2, c2) = copy.lookup(probe), t.lookup(probe)
     assert m1.tolist() == m2.tolist() and c1["a"].tolist() == c2["a"].tolist()
     (k1, c1), (k2, c2) = copy.master(), t.master()
     assert k1.tolist() == k2.tolist() == keys.tolist() and c1["a"].tolist() == c2["a"].tolist()
-    os.remove(os.path.join(t._store.dir, "vaux.bin"))
-    with pytest.raises(FileNotFoundError):  # V_aux is not in the pickle
-        pickle.loads(blob)
 
 
 def test_pinned_bytes_are_vaux_and_its_directory(tmp_path):
@@ -397,13 +419,19 @@ def _candidate_bytes(t) -> tuple[int, int]:
 @pytest.mark.parametrize("codes", [_random_codes(5000), _periodic_codes(5000)],
                          ids=["random", "periodic"])
 def test_nbytes_disk_is_smaller_candidate_plus_vaux(tmp_path, codes):
-    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096)
-    t.build(np.arange(0, 10_000, 2), codes)
-    per_column, packed = _candidate_bytes(t)
-    assert (t._store.radix is not None) == (packed < per_column)
-    vaux = os.path.getsize(os.path.join(t._store.dir, "vaux.bin"))
-    assert t.nbytes_disk == min(per_column, packed) + vaux
-    assert t.nbytes_disk == sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+    """Under both codecs the directory holds the smaller layout's
+    partitions alone; ``nbytes_disk`` adds ``V_aux`` compressed with the
+    table's codec, which no file holds."""
+    for codec in ("z", "lzma"):
+        t = AuxTable(str(tmp_path / codec), codec=codec, partition_bytes=4096)
+        t.build(np.arange(0, 10_000, 2), codes)
+        per_column, packed = _candidate_bytes(t)
+        assert (t._store.radix is not None) == (packed < per_column)
+        files = _dir_files(tmp_path / codec)
+        assert not any(p.name == "vaux.bin" for p in files)
+        assert sum(p.stat().st_size for p in files) == t._store.nbytes_disk == min(per_column, packed)
+        vaux = len(get_codec(codec).compress(t._vaux.raw_bytes()))
+        assert t.nbytes_disk == min(per_column, packed) + vaux
 
 
 def test_packed_partitions_load_as_per_column_payloads(tmp_path):

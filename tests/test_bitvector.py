@@ -1,4 +1,6 @@
 """Unit tests for the existence bit vector (repro.core.bitvector)."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,16 +85,17 @@ def test_negative_size_raises():
 
 
 def test_serialization_roundtrip():
+    """A pickled vector keeps its bits and drops its rank directory, which
+    the copy rebuilds on first use."""
     bv = BitVector(777)
     bv.set(np.array([0, 1, 500, 776]))
-    bv2 = BitVector.from_raw(bv.raw_bytes(), 777)
+    bv.rank_directory()
+    bv2 = pickle.loads(pickle.dumps(bv))
+    assert bv2._rank_dir is None and bv._rank_dir is not None
+    assert bv2.size == 777 and bv2.raw_bytes() == bv.raw_bytes()
     assert bv2.set_indices().tolist() == bv.set_indices().tolist()
-
-
-def test_from_bytes_size_mismatch():
-    bv = BitVector(64)
-    with pytest.raises(ValueError):
-        BitVector.from_raw(bv.raw_bytes(), 1024)
+    idx = np.arange(777)
+    assert bv2.rank(idx).tolist() == bv.rank(idx).tolist()
 
 
 def test_stored_smaller_than_resident_for_sparse():

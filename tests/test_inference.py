@@ -76,9 +76,17 @@ def test_argmax_ignores_batch_boundaries(ks):
             assert (np.concatenate([p[c] for p in parts]) == whole[c][:n]).all(), (batch, c)
 
 
-def test_empty_batch():
+@pytest.mark.parametrize("arch", ARCHS.values(), ids=ARCHS)
+def test_empty_batch(arch, monkeypatch):
+    """No keys, no inference: every column is an empty int32 array, and
+    no buffer is taken."""
+    def no_buffers(*args):
+        raise AssertionError("inference ran on an empty batch")
+
+    monkeypatch.setattr(nn, "_buffers", no_buffers)
     ks = KEY_SPACES["composite"]
-    out = predict_codes(_model(ks, ARCHS["trunk"]), ks, np.empty(0, np.int64), list(CLASSES))
+    out = predict_codes(_model(ks, arch), ks, np.empty(0, np.int64), list(CLASSES))
+    assert list(out) == list(CLASSES)
     assert all(len(v) == 0 and v.dtype == np.int32 for v in out.values())
 
 

@@ -7,7 +7,9 @@ import pandas as pd
 from repro.core import deepmapping, mhas
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, encode_relation
 from repro.core.encoding import KeySpace
-from repro.core.mhas import LSTMController, MHASConfig, WeightBank, eq1_ratio, mhas_search
+from repro.core.mhas import (
+    MAX_PRIVATE, MAX_SHARED, LSTMController, MHASConfig, WeightBank, eq1_ratio, mhas_search,
+)
 from repro.core.model import MappingModel, TrainConfig, train_model
 from repro.core.nn import ArchSpec, MultiTaskMLP
 
@@ -65,7 +67,7 @@ class TestController:
         decisions, steps = c.sample(2, rng)
         assert len(decisions) == len(steps)
         n_shared = decisions[0][1]
-        assert 0 <= n_shared <= CFG.max_shared
+        assert 0 <= n_shared <= MAX_SHARED
 
     def test_decisions_to_arch(self):
         c = LSTMController(CFG)
@@ -75,7 +77,7 @@ class TestController:
         assert all(s in CFG.size_grid for s in arch.shared)
         assert set(arch.private) == {"a", "b"}
         for sizes in arch.private.values():
-            assert len(sizes) <= CFG.max_private
+            assert len(sizes) <= MAX_PRIVATE
             assert all(s in CFG.size_grid for s in sizes)
 
     def test_greedy_deterministic(self):

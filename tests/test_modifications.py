@@ -14,6 +14,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test,
 )
 
+from repro.baselines.compression import get_codec
 from repro.baselines.memory_pool import MemoryPool
 from repro.core.aux_table import AuxTable
 from repro.core.deepmapping import DeepMapping, DeepMappingConfig, misclassified, predict_codes
@@ -390,34 +391,52 @@ class TestWrite:
 
 
 def test_one_aux_generation_on_disk(dm):
-    """Every T_aux rewrite deletes the generation it supersedes."""
+    """Every T_aux rewrite deletes the generation it supersedes, and a
+    generation's directory holds its partitions alone: ``V_aux`` counts in
+    ``nbytes_disk`` compressed with the table's codec, but no file holds it."""
     d, df = dm
     new = _relation(50, start=1001, seed=3)
+
+    def check():
+        gens = [f for f in os.listdir(d.workdir) if f.startswith("aux-g")]
+        assert len(gens) == 1
+        gen = os.path.join(d.workdir, gens[0])
+        assert "vaux.bin" not in os.listdir(gen)
+        on_disk = sum(os.path.getsize(os.path.join(gen, f)) for f in os.listdir(gen))
+        assert on_disk == d.aux._store.nbytes_disk
+        vaux = len(get_codec(CFG.codec).compress(d.aux._vaux.raw_bytes()))
+        assert d.aux.n_entries and d.aux.nbytes_disk == on_disk + vaux
+
+    check()
     d.insert(new)
+    check()
     d.update(pd.DataFrame({"key": [3], "easy": [6], "hard": [4]}))
     d.delete(np.array([5, 6]))
+    check()
     d.retrain()
+    check()
     d.insert(_relation(10, start=1100, seed=4))
-    gens = [f for f in os.listdir(d.workdir) if f.startswith("aux-g")]
-    assert len(gens) == 1
-    gen = os.path.join(d.workdir, gens[0])
-    assert sum(os.path.getsize(os.path.join(gen, f)) for f in os.listdir(gen)) == d.aux.nbytes_disk
+    check()
     out = d.lookup(new["key"].to_numpy())
     assert (out["hard"].to_numpy() == new["hard"].to_numpy()).all()
 
 
 def test_pickle_carries_no_aux_rows(dm):
     """``T_aux``'s rows live only in its partitions, so the pickled
-    structure (the Spark broadcast) does not grow with ``T_aux``."""
+    structure (the Spark broadcast) grows with ``T_aux`` only by ``V_aux``'s
+    packed bits, never by its codes."""
     d, _ = dm
     before = len(pickle.dumps(d))
+    vaux_before = len(d.aux._vaux.raw_bytes())
     n = d.aux.n_entries
     d.aux.apply(
         upsert_keys=np.arange(10_000, 20_000),
         upsert_codes={c: np.zeros(10_000, dtype=np.int32) for c in d.value_cols},
     )
     assert d.aux.n_entries == n + 10_000
-    assert len(pickle.dumps(d)) - before < 1024
+    grown = len(d.aux._vaux.raw_bytes()) - vaux_before
+    assert grown == 20_000 // 8 - vaux_before
+    assert len(pickle.dumps(d)) - before < grown + 1024
 
 
 def test_pool_clear_and_pickle_round_trip_keep_content(dm):
@@ -594,7 +613,11 @@ class _ModificationMachine(RuleBasedStateMachine):
 
     @rule()
     def pickle_round_trip(self):
-        self.dm = pickle.loads(pickle.dumps(self.dm))
+        """The copy carries ``V_aux`` and sizes as the original does."""
+        copy = pickle.loads(pickle.dumps(self.dm))
+        assert copy.storage_breakdown() == self.dm.storage_breakdown()
+        assert copy.aux._vaux.raw_bytes() == self.dm.aux._vaux.raw_bytes()
+        self.dm = copy
 
     @rule()
     def clear_pool(self):
@@ -641,6 +664,11 @@ class _ModificationMachine(RuleBasedStateMachine):
             out = self.dm.lookup(np.array(keys))
         self._check_lookup(keys, out)
         assert rows == [self.dm.vexist.count() - self.dm.aux.n_entries]
+
+    @invariant()
+    def no_vaux_file(self):
+        """``V_aux`` lives in memory and in the pickle only."""
+        assert not any("vaux.bin" in files for _, _, files in os.walk(self.workdir))
 
     @invariant()
     def aux_holds_exactly_the_misses(self):
