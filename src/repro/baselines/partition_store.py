@@ -8,14 +8,14 @@ LRU memory pool at query time (Sec. V-A.5 "Partition Size Tuning").
 Subclasses define how a partition's rows are represented
 (:meth:`_make_payload`) and how a lookup proceeds within a loaded
 partition (:meth:`_lookup_in_payload`); they may also change how the
-payloads become file bytes and back (:meth:`_encode`,
-:meth:`_deserialize`), which every baseline leaves as pickle plus codec.
-Keys are the *dense indices* of the workload's
-:class:`~repro.core.encoding.KeySpace`, always sorted within and across
-partitions; query batches are sorted and sliced by the partition bounds so
-each partition is decompressed at most once per batch (paper Sec. IV-B),
-and partitions already resident in the pool are visited before the ones
-that must be loaded.
+payloads become file bytes and back (:meth:`_encode`, :meth:`_deserialize`),
+which every baseline leaves as pickle plus codec. Keys are the *dense
+indices* of the workload's :class:`~repro.core.encoding.KeySpace`, sorted
+within and across partitions; query batches are sorted and sliced by the
+partition bounds so each partition is decompressed at most once per batch
+(paper Sec. IV-B), and partitions already in the pool are visited first.
+Every partition but the last holds :attr:`rows_per_partition` rows, so
+``T_aux``'s store, keyed by row number, routes by division, not :meth:`lookup_batch`.
 """
 from __future__ import annotations
 
@@ -105,7 +105,7 @@ class PartitionedStore:
         row_bytes = self.key_nbytes + sum(
             v.dtype.itemsize if v.dtype != object else 24 for v in values.values()
         )
-        rows_per_part = max(1, self.partition_bytes // max(1, row_bytes))
+        rows_per_part = self.rows_per_partition = max(1, self.partition_bytes // max(1, row_bytes))
         n = len(keys)
         starts = range(0, n, rows_per_part)
         blobs = self._encode(

@@ -8,14 +8,14 @@ columns.
 The table is keyless. Its keys are a subset of ``V_exist``'s, so they are
 held as a second bit vector, ``V_aux``, with one bit per dense key up to
 the largest stored key: row *i* of the table is the *i*-th set bit of
-``V_aux``. The partitions hold only the code columns, range-partitioned by
-row number, each compressed with the configured codec and served through
+``V_aux``. The partitions hold only the code columns, a fixed number of
+rows each, each compressed with the configured codec and served through
 the LRU memory pool. A lookup is a bounds check and a bit test against the
 pinned ``V_aux``, so a key that ``T_aux`` does not hold loads nothing; a
-member's row is ``V_aux.rank(key)``, which routes it to a partition and
-indexes that partition's codes directly. The rank query takes the place
-of the paper's binary search of a partition's key array (Algorithm 1's
-validation step).
+member's row is ``V_aux.rank(key)``, and :meth:`_CodeStore.gather` reads
+it from partition ``row // rows_per_partition`` at its offset. The rank
+query takes the place of the paper's binary search of a partition's key
+array (Algorithm 1's validation step).
 
 In a loaded partition each code column takes the narrowest of
 uint8/uint16/uint32 that holds its largest code in the generation, so a
@@ -46,8 +46,8 @@ with the table's codec; no file holds that blob, so a generation's
 directory holds only its partitions.
 
 ``T_aux``'s rows exist only in the partitions: on disk, and in the pool
-while resident. Modifications (Algorithms 3–5) read every row back
-through the pool, merge the delta and write the rows as a new generation
+while resident. Modifications (Algorithms 3–5) gather the rows they keep
+through the pool, append the upserts and write the rows as a new generation
 directory; the previous generation is deleted once the new one is on disk.
 """
 from __future__ import annotations
@@ -154,17 +154,24 @@ class _CodeStore(PartitionedStore):
     def _payload_nbytes(self, payload: dict) -> int:
         return sum(v.nbytes for v in payload["cols"].values())
 
-    def _lookup_in_payload(self, payload, rows):
-        pos = rows - payload["start"]
-        return np.ones(len(rows), dtype=bool), {c: v[pos] for c, v in payload["cols"].items()}
-
-    def codes(self) -> dict[str, np.ndarray]:
-        """Every row's codes in row order, each partition read through the pool."""
-        parts = [self._load_partition(pi)["cols"] for pi in range(self.n_partitions)]
-        return {
-            c: np.concatenate([np.empty(0, dtype=dt)] + [p[c] for p in parts])
-            for c, dt in self.dtypes.items()
-        }
+    def gather(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """{col: int32 codes of ``rows``, in the order given}. Row r is in
+        partition ``r // rows_per_partition``: one stable argsort of that id
+        groups the rows, and each touched partition is loaded once, those
+        already in the pool first, as in :meth:`lookup_batch`."""
+        out = {c: np.empty(len(rows), dtype=np.int32) for c in self.dtypes}
+        part = (rows // self.rows_per_partition).astype(_min_int_dtype(self.n_partitions))
+        order = np.argsort(part, kind="stable")
+        bounds = np.searchsorted(part[order], np.arange(self.n_partitions + 1))
+        touched = np.flatnonzero(bounds[1:] > bounds[:-1])
+        resident = np.array([(self.name, pi) in self.pool for pi in touched.tolist()], dtype=bool)
+        for pi in np.concatenate([touched[resident], touched[~resident]]).tolist():
+            idx = order[bounds[pi]:bounds[pi + 1]]
+            payload = self._load_partition(pi)
+            pos = rows[idx] - payload["start"]
+            for c, v in payload["cols"].items():
+                out[c][idx] = v[pos]
+        return out
 
 
 class AuxTable:
@@ -244,8 +251,7 @@ class AuxTable:
             return found, {}
         inside = np.flatnonzero((keys >= 0) & (keys < self._vaux.size))
         found[inside[self._vaux.get(keys[inside])]] = True
-        _, codes = self._store.lookup_batch(self._vaux.rank(keys[found]))
-        return found, {c: v.astype(np.int32, copy=False) for c, v in codes.items()}
+        return found, self._store.gather(self._vaux.rank(keys[found]))
 
     # -- modifications (driver side; Algorithms 3–5 materialize here) ---------
     def apply(
@@ -255,12 +261,13 @@ class AuxTable:
         upsert_codes: dict[str, np.ndarray] | None = None,
         remove_keys: np.ndarray | None = None,
     ) -> None:
-        """Read the current rows back, drop the removed and the upserted
-        keys, append the upserts and write the result as a new generation."""
-        keys, codes = self.master()
+        """Read back the current rows whose keys are neither removed nor
+        upserted, append the upserts and write the result as a new
+        generation."""
+        keys = self._vaux.set_indices()
         drop = [np.asarray(k, dtype=np.int64) for k in (remove_keys, upsert_keys) if k is not None]
-        keep = ~np.isin(keys, np.concatenate([np.empty(0, dtype=np.int64), *drop]))
-        keys, codes = keys[keep], {c: v[keep] for c, v in codes.items()}
+        rows = np.flatnonzero(~np.isin(keys, np.concatenate([np.empty(0, dtype=np.int64), *drop])))
+        keys, codes = keys[rows], self._store.gather(rows)
         if upsert_keys is not None:
             keys = np.concatenate([keys, np.asarray(upsert_keys, dtype=np.int64)])
             codes = {
@@ -286,6 +293,4 @@ class AuxTable:
         {col: int32 codes})."""
         if self._store is None:
             return np.empty(0, dtype=np.int64), {}
-        return self._vaux.set_indices(), {
-            c: v.astype(np.int32) for c, v in self._store.codes().items()
-        }
+        return self._vaux.set_indices(), self._store.gather(np.arange(self.n_entries))

@@ -91,7 +91,7 @@ class ExperimentConfig:
 
 
 class _StoreAdapter:
-    """Uniform facade: lookup_batch(raw key tuples) → value dict."""
+    """Uniform facade: lookup(raw key tuples) → (found_mask, values)."""
 
     def __init__(self, kind: str, obj, key_space, value_cols):
         self.kind = kind

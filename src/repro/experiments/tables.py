@@ -30,6 +30,8 @@ __all__ = [
 
 ALL_METHODS = ["AB", "HB", "ABC-D", "ABC-G", "ABC-Z", "ABC-L", "HBC-Z", "HBC-L", "DS", "DM-Z", "DM-L"]
 MOD_METHODS = ["DM-Z", "DM-Z1", "AB", "ABC-Z", "HB", "HBC-Z"]
+STEP_FRAC = 0.1  # each of Tables III–V's steps modifies this share of the base relation
+RETRAIN_AT_STEP = 2  # the paper's 'retrain after 200MB' = 20%
 
 TABLE1_WORKLOADS = [
     "tpch_lineitem", "synth_single_low", "synth_single_high",
@@ -195,9 +197,7 @@ def run_modification_experiment(
     op: str,  # 'insert_same' | 'insert_cross' | 'delete'
     n_base: int,
     n_steps: int = 6,
-    step_frac: float = 0.1,
     batch_size: int,
-    retrain_at_step: int = 2,  # the paper's 'retrain after 200MB' = 20%
     methods: list[str] | None = None,
     cfg: ExperimentConfig | None = None,
     seed: int = 0,
@@ -207,7 +207,7 @@ def run_modification_experiment(
 
     DeepMapping evolves one structure through Algorithms 3–5; DM-Z1 starts
     from DM-Z's network and additionally retrains once at
-    ``retrain_at_step``. The static baselines are rebuilt on the current
+    ``RETRAIN_AT_STEP``. The static baselines are rebuilt on the current
     relation each step (their storage/latency is a function of content
     only). Every method's lookup is timed through its
     ``build_method`` adapter, as in Tables I and II.
@@ -219,13 +219,13 @@ def run_modification_experiment(
     wl = REGISTRY["synth_multi_low" if corr == "low" else "synth_multi_high"]
 
     base, insert_steps = _synth_mod_data(
-        spark, n_base=n_base, n_steps=n_steps, step_frac=step_frac,
+        spark, n_base=n_base, n_steps=n_steps, step_frac=STEP_FRAC,
         base_corr=base_corr, insert_corr=insert_corr, seed=50 + seed,
     )
     rng = np.random.default_rng(seed)
     if op == "delete":
         perm = rng.permutation(n_base)
-        step_n = int(n_base * step_frac)
+        step_n = int(n_base * STEP_FRAC)
         delete_steps = [perm[i * step_n : (i + 1) * step_n] for i in range(n_steps)]
 
     # --- DeepMapping structures evolve across steps -------------------------
@@ -256,12 +256,12 @@ def run_modification_experiment(
                 current = pd.concat([current, batch], ignore_index=True)
                 for a in dms.values():
                     a.obj.insert(batch)
-            if step == retrain_at_step and "DM-Z1" in dms:
+            if step == RETRAIN_AT_STEP and "DM-Z1" in dms:
                 dms["DM-Z1"].obj.retrain()
         qkeys = random_key_batch(current, list(wl.key_cols), batch_size, seed=seed + step)
 
         for m in methods:
-            if m == "DM-Z1" and step < retrain_at_step:
+            if m == "DM-Z1" and step < RETRAIN_AT_STEP:
                 # the paper reports DM-Z1 only from the retrain step on
                 rows.append(dict(step=step, method=m, storage_mb=None, query_s=None))
                 continue

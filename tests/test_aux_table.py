@@ -476,3 +476,60 @@ def test_layout_and_radix_follow_each_generation(tmp_path):
     t.apply(upsert_keys=np.arange(5000), upsert_codes=periodic, remove_keys=np.array([9000]))
     assert t._store.radix is None
     _round_trips(t, np.arange(5000), periodic)
+
+
+# ------------------------------------------------------------------ gather
+@pytest.fixture(params=["packed", "per-column"])
+def eight_parts(request, tmp_path):
+    """8,192 rows of 4 code bytes in eight partitions of 1,024 rows, in
+    either on-disk layout."""
+    codes = _random_codes(8192) if request.param == "packed" else _periodic_codes(8192)
+    t = AuxTable(str(tmp_path), codec="z", partition_bytes=4096, pool=MemoryPool(None))
+    keys = np.arange(0, 3 * 8192, 3)
+    t.build(keys, codes)
+    assert (t._store.radix is not None) == (request.param == "packed")
+    assert t._store.n_partitions == 8 and t._store.rows_per_partition == 1024
+    return t, codes
+
+
+def _assert_int32(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for c, v in want.items():
+        assert got[c].dtype == np.int32 and got[c].tolist() == v.tolist()
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_gather_hits_resident_partitions_before_loading(eight_parts, k):
+    """With a pool that holds k of the 8 partitions, a second full batch
+    hits the k resident ones before its loads evict any."""
+    t, codes = eight_parts
+    t.pool.budget = t.pool.pinned_bytes + k * 4096
+    rows = np.arange(8192)
+    t._store.gather(rows)
+    t.pool.stats.reset()
+    _assert_int32(t._store.gather(rows), codes)
+    assert (t.pool.stats.hits, t.pool.stats.misses) == (k, 8 - k)
+
+
+def test_gather_loads_each_touched_partition_once(eight_parts):
+    """A shuffled batch that repeats rows and crosses partition boundaries
+    loads each partition it touches once, even through a pool that evicts
+    every load, and answers in the order given."""
+    t, _ = eight_parts
+    _, master = t.master()
+    t.pool.budget = 1
+    t.pool.clear()
+    t.pool.stats.reset()
+    picked = np.concatenate([np.arange(1000, 1100), np.arange(3050, 3100), [7000, 7000]])
+    keys = np.random.default_rng(3).permutation(np.tile(picked, 2)) * 3
+    rows = t._vaux.rank(keys)
+    got = t._store.gather(rows)
+    assert t.pool.stats.misses == len({0, 1, 2, 3, 6}) and t.pool.stats.hits == 0
+    _assert_int32(got, {c: v[rows] for c, v in master.items()})
+
+
+def test_gather_empty_batch(eight_parts):
+    t, codes = eight_parts
+    t.pool.stats.reset()
+    _assert_int32(t._store.gather(np.empty(0, np.int64)), dict.fromkeys(codes, np.empty(0)))
+    assert t.pool.stats.misses == t.pool.stats.hits == 0

@@ -672,8 +672,10 @@ class _ModificationMachine(RuleBasedStateMachine):
 
     @invariant()
     def aux_holds_exactly_the_misses(self):
-        aux_keys, _ = self.dm.aux.master()
-        want = set()
+        """``T_aux``'s rows are the keys the model misses, each with the
+        oracle's codes of every value column."""
+        aux_keys, aux_codes = self.dm.aux.master()
+        want, want_codes = np.empty(0, np.int64), dict.fromkeys(self.VALUE_COLS, np.empty(0))
         if self.oracle:
             ks, vals = zip(*self.oracle.items())
             dense = self.KS.dense_index(np.array(ks))
@@ -681,8 +683,15 @@ class _ModificationMachine(RuleBasedStateMachine):
                 c: self.dm.codecs[c].encode([v[j] for v in vals])
                 for j, c in enumerate(self.VALUE_COLS)
             }
-            want = set(dense[misclassified(self.dm.model, self.KS, dense, codes)].tolist())
-        assert aux_keys.tolist() == sorted(want)
+            wrong = misclassified(self.dm.model, self.KS, dense, codes)
+            order = np.argsort(dense[wrong])
+            want = dense[wrong][order]
+            want_codes = {c: v[wrong][order] for c, v in codes.items()}
+        assert aux_keys.tolist() == want.tolist()
+        assert set(aux_codes) == set(self.VALUE_COLS)
+        for c in self.VALUE_COLS:
+            assert aux_codes[c].dtype == np.int32
+            assert aux_codes[c].tolist() == want_codes[c].tolist()
         assert self.dm.aux.n_entries == len(want)
 
 
